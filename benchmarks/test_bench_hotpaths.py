@@ -14,20 +14,13 @@ Each vectorized path retains its original implementation as a
   equality, never approx),
 * asserts the acceptance floors — >= 5x on embedding graph construction
   and >= 10x on DTW / pairwise distances,
-* records the pickled bytes per job with and without the zero-copy
-  shared-memory dataset plan of :class:`repro.parallel.SharedMemoryBackend`,
 
-PR 6 added the dispatch-cost entries: ``fused_fit_dispatch`` times a
+PR 6 added the dispatch-cost entry ``fused_fit_dispatch``: it times a
 two-stage pipeline whose stages declare :attr:`Stage.fusable_with`
 unfused vs fused on one warm :class:`~repro.parallel.ProcessBackend`
 (fusing eliminates the coordinator->worker re-ship of the intermediate
-plus one dispatch round trip), and ``shared_result_pairwise`` times the
-backend-routed ``pairwise_distances`` strip fan-out on a plain pickling
-pool — where the dataset rides inside every strip job — against
-:class:`~repro.parallel.SharedMemoryBackend`, which ships it once
-through a shared segment and returns the strips through worker-published
-result segments.  Both are transfer-bound by construction, so their
-speedups hold even on single-core runners where compute cannot
+plus one dispatch round trip).  It is transfer-bound by construction, so
+its speedup holds even on single-core runners where compute cannot
 parallelize.
 
 and persists everything to ``benchmarks/results/hotpaths.json``.  That file
@@ -40,7 +33,6 @@ comparison is robust across runner generations.
 from __future__ import annotations
 
 import json
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
@@ -55,7 +47,6 @@ from repro.core.consensus import (
 )
 from repro.core.kgraph import (
     KGraph,
-    _LengthFitJob,
     predict_with_state,
     predict_with_state_reference,
 )
@@ -69,13 +60,7 @@ from repro.metrics.distances import (
     pairwise_distances,
     pairwise_distances_reference,
 )
-from repro.parallel import (
-    ProcessBackend,
-    SerialBackend,
-    SharedArrayPlan,
-    SharedMemoryBackend,
-    substitute_shared_arrays,
-)
+from repro.parallel import ProcessBackend, SerialBackend
 from repro.pipeline import MemoryStageCache, Pipeline, PipelineContext, Stage
 from repro.utils.normalization import znormalize_dataset
 from repro.utils.windows import subsequences_of_dataset
@@ -91,7 +76,6 @@ if full_mode():
     CONSENSUS_PARTITIONS, CONSENSUS_SAMPLES = 16, 800
     PREDICT_BATCH = 128
     PIPELINE_N_SERIES, PIPELINE_SERIES_LENGTH, PIPELINE_N_LENGTHS = 48, 160, 4
-    SHARED_PAIRWISE_SHAPE = (64, 16384)
 else:
     EMBED_N_SERIES, EMBED_SERIES_LENGTH, EMBED_LENGTH = 32, 160, 24
     DTW_SINGLE_LENGTH = 192
@@ -101,7 +85,6 @@ else:
     CONSENSUS_PARTITIONS, CONSENSUS_SAMPLES = 12, 500
     PREDICT_BATCH = 64
     PIPELINE_N_SERIES, PIPELINE_SERIES_LENGTH, PIPELINE_N_LENGTHS = 24, 96, 3
-    SHARED_PAIRWISE_SHAPE = (64, 8192)
 
 # The fused-dispatch workload is transfer-bound at this shape in both
 # modes — the intermediate window tensors total ~17 MB — and the fused
@@ -109,15 +92,14 @@ else:
 # shape serves quick and full runs.
 FUSED_N_SERIES, FUSED_SERIES_LENGTH = 32, 512
 FUSED_LENGTHS = (32, 48, 64)
-#: Worker count for the dispatch-cost entries: both sides of each A/B use
+#: Worker count for the dispatch-cost entry: both sides of the A/B use
 #: the same pool size, so the comparison is fair on any core count.
 FANOUT_WORKERS = 4
 
 # Acceptance floors (ISSUE 3): >= 5x on embedding graph construction and
 # >= 10x on DTW/pairwise; (ISSUE 4) >= 5x for a fully checkpoint-replayed
 # pipeline re-fit over a cold fit; (ISSUE 6) >= 1.5x for fused stage
-# dispatch over unfused and for the zero-copy pairwise fan-out over plain
-# per-job pickling.  The remaining hot paths are guarded by the looser
+# dispatch over unfused.  The remaining hot paths are guarded by the looser
 # committed-baseline comparison of the CI perf-smoke job (their
 # vectorized sides finish in single-digit milliseconds, where timing jitter
 # on shared runners makes a hard double-digit floor flaky).
@@ -127,7 +109,6 @@ SPEEDUP_FLOORS = {
     "dtw_pairwise": 10.0,
     "pipeline_cached_refit": 5.0,
     "fused_fit_dispatch": 1.5,
-    "shared_result_pairwise": 1.5,
 }
 
 
@@ -502,76 +483,6 @@ def _fused_dispatch_entry() -> Dict[str, object]:
     return entry
 
 
-def _shared_result_pairwise_entry() -> Dict[str, object]:
-    """Backend-routed pairwise strips: plain pickling pool vs zero-copy.
-
-    Both sides run the identical strip jobs on the same worker count, so
-    the outputs are bit-identical; the contrast is pure transfer cost.
-    The plain :class:`ProcessBackend` pickles the dataset into every strip
-    job (long series make that the dominant cost — the paper's
-    subsequence-of-long-recordings regime), while
-    :class:`SharedMemoryBackend` writes it once into a shared segment and
-    brings the strip results home through worker-published result
-    segments instead of pickles.
-    """
-    rng = np.random.default_rng(11)
-    data = rng.normal(size=SHARED_PAIRWISE_SHAPE).cumsum(axis=1)
-    plain = ProcessBackend(FANOUT_WORKERS)
-    shared = SharedMemoryBackend(FANOUT_WORKERS, min_result_bytes=0)
-    try:
-        entry = _entry(
-            "shared_result_pairwise",
-            lambda: pairwise_distances(data, metric="euclidean", backend=plain),
-            lambda: pairwise_distances(data, metric="euclidean", backend=shared),
-            np.array_equal,
-            ref_repeats=2,
-            vec_repeats=4,
-        )
-        entry["result_segments"] = int(shared.result_segments)
-        entry["result_bytes"] = int(shared.result_bytes)
-    finally:
-        plain.close()
-        shared.close()
-    entry["shape"] = list(SHARED_PAIRWISE_SHAPE)
-    entry["dataset_bytes"] = int(data.nbytes)
-    entry["plain_bytes_shipped"] = int(plain.bytes_shipped)
-    entry["shared_bytes_shipped"] = int(shared.bytes_shipped)
-    return entry
-
-
-def _shared_memory_stats() -> Dict[str, object]:
-    """Pickled bytes per per-length fit job, with and without sharing."""
-    dataset = make_cylinder_bell_funnel(
-        n_series=EMBED_N_SERIES, length=EMBED_SERIES_LENGTH, noise=0.2, random_state=8
-    )
-    jobs = [
-        _LengthFitJob(
-            length=length,
-            array=dataset.data,
-            stride=1,
-            n_sectors=24,
-            feature_mode="both",
-            n_clusters=3,
-            rng=np.random.default_rng(0),
-        )
-        for length in (12, 24, 48, 64)
-    ]
-    plain_bytes = sum(len(pickle.dumps(job)) for job in jobs)
-    with SharedArrayPlan() as plan:
-        shared_bytes = sum(
-            len(pickle.dumps(substitute_shared_arrays(job, plan, 0))) for job in jobs
-        )
-        n_segments = plan.n_segments
-    return {
-        "n_jobs": len(jobs),
-        "dataset_bytes": int(dataset.data.nbytes),
-        "plain_pickled_bytes": int(plain_bytes),
-        "shared_pickled_bytes": int(shared_bytes),
-        "bytes_ratio": plain_bytes / max(1, shared_bytes),
-        "segments_written": int(n_segments),
-    }
-
-
 def _run_hotpaths_experiment() -> Dict[str, object]:
     entries: List[Dict[str, object]] = [
         _embedding_entry(),
@@ -585,7 +496,6 @@ def _run_hotpaths_experiment() -> Dict[str, object]:
         _predict_entry(),
         _pipeline_entry(),
         _fused_dispatch_entry(),
-        _shared_result_pairwise_entry(),
     ]
     for entry in entries:
         floor = SPEEDUP_FLOORS.get(entry["hot_path"])
@@ -599,7 +509,6 @@ def _run_hotpaths_experiment() -> Dict[str, object]:
         "experiment": "E13-hotpaths",
         "full_mode": full_mode(),
         "entries": entries,
-        "shared_memory": _shared_memory_stats(),
     }
 
 
@@ -621,15 +530,9 @@ def test_bench_hotpaths(benchmark):
         }
         for entry in payload["entries"]
     ]
-    shared = payload["shared_memory"]
     text = format_table(rows, ["hot path", "reference_s", "vectorized_s", "speedup"])
     text += (
         "\n\nAll vectorized outputs bit-identical to the reference implementations."
-        f"\nShared-memory plan: {shared['n_jobs']} fit jobs pickled "
-        f"{shared['plain_pickled_bytes']} bytes plain vs "
-        f"{shared['shared_pickled_bytes']} bytes shared "
-        f"({shared['bytes_ratio']:.0f}x smaller, "
-        f"{shared['segments_written']} segment written once)."
     )
     report("E13: Hot-path vectorization", text)
 

@@ -12,23 +12,22 @@ stashes its own large result arrays the same way on the way back.
 Properties this buys:
 
 * **Dedup for free** — content addressing means the dataset array shared
-  by M per-length jobs is written once and referenced M times (the
-  distributed analogue of the shared-memory plan's identity dedup).
+  by M per-length jobs is written once and referenced M times.
 * **Retry-safe** — a missing or truncated file surfaces as
-  :class:`PlaneMissError`, a retryable per-job failure, exactly like a
-  vanished ``/dev/shm`` segment on the shared-memory backend.
+  :class:`PlaneMissError`, a retryable per-job failure.
 * **Crash-safe writes** — arrays land via ``tmp + os.replace``, so a
   reader never observes a half-written file (the
   :class:`~repro.pipeline.cache.DiskStageCache` idiom).
 
-The payload walk mirrors :func:`repro.parallel.shared._swap_leaves` — the
-same traversal that substitutes shared-memory refs — one level deeper, so
-chaos-wrapped jobs (``_ChaosJob(job=...)``) still reach their arrays.  One
-difference: dataclass containers are rebuilt by shallow copy instead of
-``dataclasses.replace``, because replace re-runs ``__post_init__`` and a
-validating payload type (``TimeSeriesDataset`` checks its ``data`` array)
-must not see the transport representation — the symmetric ``resolve`` on
-the other side restores the validated original.
+Both directions use one payload walk, :func:`_swap_payload_leaves`: it
+recurses into dataclass fields, dict values and tuple/list elements to a
+small fixed depth, deep enough that chaos-wrapped jobs
+(``_ChaosJob(job=...)``) still reach their arrays.  Dataclass containers
+are rebuilt by shallow copy instead of ``dataclasses.replace``, because
+replace re-runs ``__post_init__`` and a validating payload type
+(``TimeSeriesDataset`` checks its ``data`` array) must not see the
+transport representation — the symmetric ``resolve`` on the other side
+restores the validated original.
 """
 
 from __future__ import annotations
@@ -43,16 +42,17 @@ from typing import Any, Callable, Dict, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ParallelExecutionError, ValidationError
-from repro.parallel.shared import _PAYLOAD_DEPTH
 from repro.pipeline.fingerprint import fingerprint
 
 #: Arrays smaller than this ship inline — a ref + a file round-trip costs
-#: more than a few KB of base64 (mirrors the shared-memory threshold).
+#: more than a few KB of base64.
 DEFAULT_MIN_PLANE_BYTES = 32 * 1024
 
-#: One level deeper than the shared-memory walk: payloads may arrive
-#: wrapped in a chaos ``_ChaosJob`` whose ``job`` field holds the real one.
-_PLANE_DEPTH = _PAYLOAD_DEPTH + 1
+#: Containers are walked to this fixed depth (payload containers, not
+#: arbitrary object graphs): three levels of job payload plus one, because
+#: payloads may arrive wrapped in a chaos ``_ChaosJob`` whose ``job`` field
+#: holds the real one.
+_PLANE_DEPTH = 4
 
 
 def _swap_payload_leaves(
@@ -60,11 +60,13 @@ def _swap_payload_leaves(
 ) -> Any:
     """Rebuild ``value`` with ``swap`` applied to every non-container leaf.
 
-    The :func:`repro.parallel.shared._swap_leaves` traversal, except that a
-    changed dataclass is rebuilt by shallow copy + ``object.__setattr__``
-    (works on frozen instances, and — unlike ``dataclasses.replace`` —
-    never re-runs a validating ``__post_init__`` against a swapped-in
-    transport ref).
+    Walks dataclass fields, dict values and tuple/list elements up to
+    ``_depth`` levels and rebuilds each container only when something
+    actually changed, so payloads without matching leaves pass through
+    untouched (by identity).  A changed dataclass is rebuilt by shallow
+    copy + ``object.__setattr__`` (works on frozen instances, and — unlike
+    ``dataclasses.replace`` — never re-runs a validating ``__post_init__``
+    against a swapped-in transport ref).
     """
     if not isinstance(value, (dict, tuple, list)) and not (
         dataclasses.is_dataclass(value) and not isinstance(value, type)
@@ -116,7 +118,7 @@ class PlaneArrayRef:
     """A picklable fingerprint reference to an array parked in the plane.
 
     Deliberately *not* a dataclass: the payload walk
-    (:func:`~repro.parallel.shared._swap_leaves`) recurses into dataclass
+    (:func:`_swap_payload_leaves`) recurses into dataclass
     fields, and a ref must be handed to the swap callback as a leaf — the
     whole point is substituting it back into an array.
     """

@@ -14,7 +14,7 @@ interpretability scores — dispatch through one abstraction:
     :class:`JobOutcome` per job, **in submission order**, with per-job error
     capture and per-job wall-clock durations.
 
-Three backends ship today:
+Four backends ship today:
 
 * :class:`SerialBackend` — the default; zero overhead, identical behaviour
   to the pre-parallel code path.
@@ -22,11 +22,6 @@ Three backends ship today:
   kernels release the GIL, and requires no pickling.
 * :class:`ProcessBackend` — a process pool with configurable ``chunk_size``;
   sidesteps the GIL, requires module-level job functions and picklable jobs.
-* :class:`SharedMemoryBackend` — a process pool whose jobs ship large
-  NumPy arrays through zero-copy POSIX shared memory (written once per
-  fan-out, identity-deduplicated across jobs) instead of re-pickling the
-  dataset per job, and ships large *result* arrays back through worker-
-  written segments too; select with ``backend="shared"``.
 * :class:`~repro.distributed.DistributedBackend` — fans out over a pool of
   ``graphint worker`` HTTP services; select with
   ``backend="distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]"`` (see
@@ -49,10 +44,10 @@ backends — parallelism changes wall-clock time, never results.
 Fault tolerance: every backend accepts a :class:`RetryPolicy`
 (``map_jobs(..., retry=...)`` or ``resolve_backend(..., retry=...)``) for
 bounded retries with deterministic backoff, per-attempt timeouts and a
-whole-fan-out deadline; the process backends recover killed workers by
+whole-fan-out deadline; the process backend recovers killed workers by
 rebuilding the pool and bisecting the implicated chunk until the poison
 job is isolated; :class:`FallbackBackend`
-(``resolve_backend(fallback=("shared", "process", "thread"))``) demotes to
+(``resolve_backend("process", fallback="thread")``) demotes to
 the next backend when a pool's rebuild budget is exhausted, with
 bit-identical results.  :class:`ChaosBackend` injects seeded faults
 (raise/delay/hang/kill/drop-result) by :class:`ChaosPlan` to drive every
@@ -87,13 +82,6 @@ from repro.parallel.retry import (
     WorkerCrashError,
     WorkerPoolExhausted,
 )
-from repro.parallel.shared import (
-    SharedArrayPlan,
-    SharedMemoryBackend,
-    SharedResultPlan,
-    publish_result_arrays,
-    substitute_shared_arrays,
-)
 from repro.parallel.wire import RemoteJobError
 
 __all__ = [
@@ -110,15 +98,10 @@ __all__ = [
     "RemoteJobError",
     "RetryPolicy",
     "SerialBackend",
-    "SharedArrayPlan",
-    "SharedMemoryBackend",
-    "SharedResultPlan",
     "ThreadBackend",
     "WorkerCrashError",
     "WorkerPoolExhausted",
     "backend_scope",
     "pickled_nbytes",
-    "publish_result_arrays",
     "resolve_backend",
-    "substitute_shared_arrays",
 ]

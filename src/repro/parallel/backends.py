@@ -30,7 +30,7 @@ chunks are re-dispatched in quarantine — one at a time, bisected on
 repeat breakage — so a single poison job is isolated to a single-job
 chunk whose failure is recorded per job while its innocent chunk-mates'
 results are recovered.  :class:`FallbackBackend` chains backends and
-demotes (e.g. shared -> process -> thread) when a pool's rebuild budget
+demotes (e.g. process -> thread) when a pool's rebuild budget
 is exhausted; jobs carry their own seeds, so demotion never changes
 results.
 """
@@ -562,19 +562,6 @@ class ProcessBackend(ExecutionBackend):
         # ThreadBackend._executor).
         with self._pool_lock:
             if self._pool is None:
-                # Start the multiprocessing resource tracker *before* any
-                # worker can fork: workers then inherit (fork) or are handed
-                # (spawn) the coordinator's tracker, so shared-memory
-                # registrations land in one shared set no matter which
-                # process creates, attaches or unlinks a segment.  Without
-                # this, a worker forked before the tracker exists spins up
-                # its own and warns about segments the coordinator unlinks.
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.ensure_running()
-                except Exception:  # noqa: BLE001 - tracker is an optimisation
-                    pass
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.n_workers or os.cpu_count() or 1
                 )
@@ -620,13 +607,7 @@ class ProcessBackend(ExecutionBackend):
         *,
         on_result: OnResult = None,
         retry: Optional[RetryPolicy] = None,
-        _finalize: OnResult = None,
     ) -> List[JobOutcome]:
-        # ``_finalize`` is an internal hook (used by SharedMemoryBackend to
-        # resolve worker-published result segments): it runs on the calling
-        # thread, on every completed outcome, *before* the retry decision —
-        # so a lost segment is a retryable per-job failure, not a surprise
-        # after the fan-out settled.
         jobs = list(jobs)
         if not jobs:
             return []
@@ -671,8 +652,6 @@ class ProcessBackend(ExecutionBackend):
             """Retry a failed outcome when the policy allows, else record it."""
             nonlocal next_round_delay
             index = outcome.index
-            if _finalize is not None:
-                _finalize(outcome)  # may turn an ok outcome into a per-job error
             if outcome.ok or policy is None:
                 record(outcome)
                 return
@@ -907,8 +886,8 @@ class FallbackBackend(ExecutionBackend):
     fan-out that is about to be re-run must not stream half its outcomes),
     then replayed in submission order on the calling thread.
 
-    Build one with ``resolve_backend(fallback=("shared", "process",
-    "thread"))``; the recorded :attr:`demotions` list is the structured
+    Build one with ``resolve_backend("process", fallback="thread")``; the
+    recorded :attr:`demotions` list is the structured
     audit trail.
     """
 
@@ -1028,21 +1007,12 @@ class FallbackBackend(ExecutionBackend):
         return f"FallbackBackend({names}, active={self.active.name})"
 
 
-def _shared_memory_backend_class():
-    # Imported lazily: shared.py imports ProcessBackend from this module.
-    from repro.parallel.shared import SharedMemoryBackend
-
-    return SharedMemoryBackend
-
-
 _BACKENDS = {
     "serial": SerialBackend,
     "thread": ThreadBackend,
     "threads": ThreadBackend,
     "process": ProcessBackend,
     "processes": ProcessBackend,
-    "shared": _shared_memory_backend_class,
-    "shared_memory": _shared_memory_backend_class,
 }
 
 
@@ -1058,10 +1028,8 @@ def resolve_backend(
     * an :class:`ExecutionBackend` instance is returned unchanged —
       combining one with ``n_jobs`` is rejected, since the instance already
       fixed its own worker count;
-    * ``"serial"`` / ``"thread"`` / ``"process"`` / ``"shared"`` name a
-      backend class (``n_jobs`` sets its worker count; ``"serial"`` ignores
-      it; ``"shared"`` is a process pool with zero-copy shared-memory
-      dataset plans, see :class:`repro.parallel.shared.SharedMemoryBackend`);
+    * ``"serial"`` / ``"thread"`` / ``"process"`` name a backend class
+      (``n_jobs`` sets its worker count; ``"serial"`` ignores it);
     * ``"distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]"`` builds a
       :class:`repro.distributed.DistributedBackend` over that worker pool
       (``@PLANE_DIR`` enables the shared stage-cache data plane; ``n_jobs``
@@ -1138,8 +1106,6 @@ def resolve_backend(
                 "'distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]'"
             )
         cls = _BACKENDS[key]
-        if not isinstance(cls, type):
-            cls = cls()  # lazy factory (see _shared_memory_backend_class)
         resolved = SerialBackend() if cls is SerialBackend else cls(n_jobs)
         if retry is not None:
             resolved.retry = retry

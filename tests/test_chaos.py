@@ -2,18 +2,14 @@
 
 Every fault-recovery path in the execution layer is driven here by seeded
 :class:`ChaosPlan`\\ s: worker kills with chunk bisection, hang watchdogs,
-dropped shared-memory results, pool-rebuild bounds, fallback demotion, and
+dropped results, pool-rebuild bounds, fallback demotion, and
 the end-to-end acceptance scenario — a k-Graph fit on a chaos-wrapped
 process backend stays bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +25,6 @@ from repro.parallel import (
     ProcessBackend,
     RetryPolicy,
     SerialBackend,
-    SharedMemoryBackend,
     WorkerCrashError,
     WorkerPoolExhausted,
 )
@@ -103,6 +98,17 @@ class TestChaosBackendBasics:
         assert [outcome.value for outcome in outcomes] == [4, 9]
         assert backend.injections == []
 
+    def test_dropped_result_is_retried(self):
+        plan = ChaosPlan(drop_results=frozenset({1}))
+        with ProcessBackend(2) as inner:
+            backend = ChaosBackend(inner, plan)
+            outcomes = backend.map_jobs(
+                _square, [3, 4, 5], retry=RetryPolicy(max_attempts=3)
+            )
+        assert [outcome.value for outcome in outcomes] == [9, 16, 25]
+        assert outcomes[1].attempts == 2
+        assert outcomes[1].retried is True
+
 
 class TestWorkerKillRecovery:
     def test_kill_recovered_and_bitwise_identical(self):
@@ -166,48 +172,6 @@ class TestWorkerKillRecovery:
         # The hang was *recovered*: the final outcome is a success, so the
         # timeout counter (final outcomes only) stays at zero.
         assert backend.timeouts == 0
-
-
-class TestSharedMemoryChaos:
-    def test_dropped_result_segment_is_retried(self):
-        plan = ChaosPlan(drop_results=frozenset({1}))
-        with SharedMemoryBackend(2, min_share_bytes=0, min_result_bytes=0) as inner:
-            backend = ChaosBackend(inner, plan)
-            outcomes = backend.map_jobs(
-                _square, [3, 4, 5], retry=RetryPolicy(max_attempts=3)
-            )
-        assert [outcome.value for outcome in outcomes] == [9, 16, 25]
-        assert outcomes[1].attempts == 2
-        assert outcomes[1].retried is True
-
-    def test_kill_path_leaves_no_tracker_warnings(self):
-        """A worker kill mid-fan-out must not leak shared_memory segments
-        (extends the PR 6 zero-leak test to the crash-recovery path)."""
-        script = (
-            "from repro.parallel import ChaosBackend, ChaosPlan, RetryPolicy\n"
-            "from repro.parallel import SharedMemoryBackend\n"
-            "from tests.test_chaos import _square\n"
-            "plan = ChaosPlan(kills=frozenset({1}))\n"
-            "with SharedMemoryBackend(2, min_share_bytes=0, min_result_bytes=0) as inner:\n"
-            "    backend = ChaosBackend(inner, plan)\n"
-            "    outcomes = backend.map_jobs(_square, list(range(5)),\n"
-            "                                retry=RetryPolicy(max_attempts=3))\n"
-            "print('OK', sum(1 for o in outcomes if o.ok))\n"
-        )
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            cwd=str(root),
-            env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "OK 5" in result.stdout
-        assert "leaked shared_memory" not in result.stderr
 
 
 class TestFallbackDemotion:

@@ -6,8 +6,10 @@ same wire path production uses, without subprocesses (the subprocess +
 SIGKILL path lives in ``tests/test_distributed_chaos.py``).
 """
 
+import dataclasses
 import json
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -383,7 +385,61 @@ class TestBackendSpec:
 # --------------------------------------------------------------------- #
 # Stage data plane
 # --------------------------------------------------------------------- #
+class _PairTuple(NamedTuple):
+    data: np.ndarray
+    k: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenJob:
+    data: np.ndarray
+    k: int
+
+
+_LARGE = np.arange(64, dtype=np.float64)  # 512 bytes: above min_bytes=64
+_SMALL = np.arange(2, dtype=np.float64)  # 16 bytes: ships inline
+
+
+def _as_comparable(value):
+    if dataclasses.is_dataclass(value):
+        return dataclasses.astuple(value)
+    return value
+
+
 class TestStageDataPlane:
+    @pytest.mark.parametrize(
+        "payload, leaf",
+        [
+            pytest.param({"data": _LARGE, "k": 3}, lambda p: p["data"], id="dict"),
+            pytest.param((_LARGE, 3), lambda p: p[0], id="tuple"),
+            pytest.param(_PairTuple(_LARGE, 3), lambda p: p.data, id="namedtuple"),
+            pytest.param([_LARGE, 3], lambda p: p[0], id="list"),
+            pytest.param(
+                _FrozenJob(_LARGE, 3), lambda p: p.data, id="frozen_dataclass"
+            ),
+            pytest.param({"data": _SMALL, "k": 3}, None, id="small_array_inline"),
+            pytest.param(("job", 3, {"alpha": 0.5}), None, id="no_arrays"),
+        ],
+    )
+    def test_payload_walk_roundtrip(self, tmp_path, payload, leaf):
+        """Every container the walk supports round-trips through the plane;
+        payloads with nothing to offload pass through by identity."""
+        plane = StageDataPlane(tmp_path, min_bytes=64)
+        stashed = plane.stash(payload)
+        assert type(stashed) is type(payload)
+        if leaf is None:
+            assert stashed is payload
+            assert plane.resolve(stashed) is payload
+            assert plane.arrays_stashed == 0
+            return
+        assert isinstance(leaf(stashed), PlaneArrayRef)
+        assert isinstance(leaf(payload), np.ndarray)  # original untouched
+        resolved = plane.resolve(stashed)
+        assert type(resolved) is type(payload)
+        np.testing.assert_equal(_as_comparable(resolved), _as_comparable(payload))
+        assert plane.arrays_stashed == 1
+        assert plane.arrays_resolved == 1
+
     def test_stash_resolve_roundtrip(self, tmp_path):
         plane = StageDataPlane(tmp_path, min_bytes=64)
         array = np.arange(64, dtype=np.float64)

@@ -210,6 +210,11 @@ class TestResolveBackend:
             ThreadBackend(0)
         with pytest.raises(ValidationError):
             ProcessBackend(chunk_size=0)
+        # The removed shared-memory backend names fail with a typed error
+        # that lists the backends that remain.
+        for removed in ("shared", "shared_memory"):
+            with pytest.raises(ValidationError, match="available: .*'process'"):
+                resolve_backend(removed)
 
     def test_pool_sized_from_n_workers(self):
         backend = ThreadBackend(3)
