@@ -467,12 +467,6 @@ class KGraph:
         unchanged and re-executes only the affected stages — results are
         identical either way.  ``fit`` records what happened on
         ``pipeline_report_``.
-    fuse_stages:
-        Fused dispatch of the embed→graph_cluster stage pair: ``None``
-        (default) fuses automatically when both stages run on one shared
-        process backend, ``True`` forces fusing, ``False`` disables it.
-        A runtime-only knob like ``backend`` — it never changes results or
-        cache keys, only how many process round-trips the fit costs.
     retry:
         Optional :class:`~repro.parallel.RetryPolicy` applied to every
         stage fan-out (bounded retries, per-attempt timeouts, fan-out
@@ -513,7 +507,6 @@ class KGraph:
         n_jobs: Optional[int] = None,
         stage_backends: Optional[Dict[str, Union[str, ExecutionBackend]]] = None,
         stage_cache=None,
-        fuse_stages: Optional[bool] = None,
         retry: Optional[RetryPolicy] = None,
         fallback: Union[None, str, ExecutionBackend, Sequence] = None,
     ) -> None:
@@ -571,11 +564,6 @@ class KGraph:
             )
         self.stage_backends = stage_backends
         self.stage_cache = stage_cache
-        if fuse_stages is not None and not isinstance(fuse_stages, bool):
-            raise ValidationError(
-                f"fuse_stages must be None, True or False, got {fuse_stages!r}"
-            )
-        self.fuse_stages = fuse_stages
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise ValidationError(
                 f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
@@ -657,7 +645,6 @@ class KGraph:
         n_jobs: Optional[int] = None,
         stage_backends: Optional[Dict[str, Union[str, ExecutionBackend]]] = None,
         stage_cache=None,
-        fuse_stages: Optional[bool] = None,
         retry: Optional[RetryPolicy] = None,
         fallback: Union[None, str, ExecutionBackend, Sequence] = None,
     ) -> "KGraph":
@@ -665,8 +652,8 @@ class KGraph:
 
         ``from_config(est.get_config())`` refits bit-identically to ``est``
         under the same seed: the config carries every result-affecting
-        parameter, and the runtime knobs (backend, jobs, caches, fusing,
-        retry policy, fallback chain) never change results.
+        parameter, and the runtime knobs (backend, jobs, caches, retry
+        policy, fallback chain) never change results.
         """
         return cls(
             config=config,
@@ -674,7 +661,6 @@ class KGraph:
             n_jobs=n_jobs,
             stage_backends=stage_backends,
             stage_cache=stage_cache,
-            fuse_stages=fuse_stages,
             retry=retry,
             fallback=fallback,
         )
@@ -814,10 +800,7 @@ class KGraph:
             retry=retry,
         )
         report = pipeline.run(
-            ctx,
-            cache=cache,
-            config_hash=self.config.config_hash(),
-            fuse=self.fuse_stages,
+            ctx, cache=cache, config_hash=self.config.config_hash()
         )
 
         self.result_ = KGraphResult(

@@ -188,6 +188,8 @@ class WorkerApplication:
     ) -> Optional[StageDataPlane]:
         if payload is None:
             return None
+        if not isinstance(payload, dict):
+            raise ValidationError("the /jobs 'plane' field must be a JSON object")
         if self.data_plane_root is None:
             raise ValidationError(
                 "this worker has no data plane configured; start it with "
@@ -240,10 +242,19 @@ class WorkerApplication:
                 f"chunk of {len(raw_jobs)} jobs exceeds this worker's "
                 f"{self.max_chunk_jobs}-job limit",
             )
+        if not all(
+            isinstance(entry, (tuple, list))
+            and len(entry) == 2
+            and isinstance(entry[0], int)
+            for entry in raw_jobs
+        ):
+            return json_error(
+                400, "every job chunk entry must be an (index, job) pair"
+            )
 
         try:
             plane = self._plane_from_payload(payload.get("plane"))
-        except (ValidationError, OSError, ValueError) as exc:
+        except (ValidationError, OSError, TypeError, ValueError) as exc:
             return json_error(400, str(exc))
 
         if payload.get("chaos"):
@@ -254,7 +265,7 @@ class WorkerApplication:
         prepared: List[Tuple[int, Any]] = []
         failed: List[JobOutcome] = []
         for entry in raw_jobs:
-            global_index, job = int(entry[0]), entry[1]
+            global_index, job = entry
             if plane is not None:
                 try:
                     job = plane.resolve(job)

@@ -203,6 +203,40 @@ class TestWorkerApplication:
         with pytest.raises(ValidationError):
             WorkerApplication(max_chunk_jobs=0)
 
+    @pytest.mark.parametrize(
+        ("jobs", "plane"),
+        [
+            ([(0, 1.0)], lambda root: [1]),
+            ([(0, 1.0)], lambda root: "x"),
+            ([(0, 1.0)], lambda root: {"directory": str(root), "min_bytes": [1]}),
+            ([1, 2], lambda root: None),
+            ([(0,)], lambda root: None),
+        ],
+        ids=[
+            "plane-list",
+            "plane-string",
+            "plane-min-bytes-list",
+            "entry-not-pair",
+            "entry-too-short",
+        ],
+    )
+    def test_jobs_malformed_entries_are_400(self, tmp_path, jobs, plane):
+        app = WorkerApplication(data_plane=tmp_path)
+        try:
+            status, _, _ = _post_jobs(
+                app, canonical_name(square), jobs, plane=plane(tmp_path)
+            )
+            assert status == 400
+            status, _, _ = _post_jobs(
+                app,
+                canonical_name(square),
+                [(0, 3.0)],
+                plane={"directory": str(tmp_path), "min_bytes": 0},
+            )
+            assert status == 200
+        finally:
+            app.close()
+
 
 # --------------------------------------------------------------------- #
 # Real HTTP workers on ephemeral ports

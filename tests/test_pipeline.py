@@ -19,6 +19,7 @@ import pytest
 from repro.benchmark.runner import BenchmarkRunner
 from repro.core.kgraph import KGraph
 from repro.exceptions import PipelineError, ValidationError
+from repro.parallel import ProcessBackend
 from repro.pipeline import (
     KGRAPH_STAGE_NAMES,
     DiskStageCache,
@@ -463,6 +464,61 @@ class TestKGraphResume:
         ).fit(small_dataset.data)
         assert second.pipeline_report_.cached == ALL_STAGES
         _assert_fits_identical(second, first)
+
+    def test_process_fit_cache_replays_into_serial_fit(self, small_dataset):
+        cache = MemoryStageCache()
+        backend = ProcessBackend(2)
+        try:
+            cold = KGraph(
+                n_clusters=3,
+                n_lengths=2,
+                random_state=11,
+                backend=backend,
+                stage_cache=cache,
+            ).fit(small_dataset.data)
+        finally:
+            backend.close()
+        assert cache.counters.stores == len(ALL_STAGES)
+        warm = KGraph(
+            n_clusters=3, n_lengths=2, random_state=11, stage_cache=cache
+        ).fit(small_dataset.data)
+        assert warm.pipeline_report_.cached == ALL_STAGES
+        _assert_fits_identical(warm, cold)
+
+
+# --------------------------------------------------------------------------- #
+# transfer accounting: what each stage pickled across the process boundary
+# --------------------------------------------------------------------------- #
+class TestBytesShipped:
+    def test_process_backend_accounts_shipped_bytes(self, small_dataset):
+        backend = ProcessBackend(2)
+        try:
+            model = KGraph(
+                n_clusters=3, n_lengths=2, random_state=11, backend=backend
+            ).fit(small_dataset.data)
+        finally:
+            backend.close()
+        # embed and graph_cluster each dispatch their own per-length jobs.
+        shipped = model.result_.bytes_shipped
+        summary = model.result_.summary()
+        by_name = {record.name: record for record in model.pipeline_report_.records}
+        for name in ("embed", "graph_cluster"):
+            assert shipped.get(name, 0) > 0
+            assert model.pipeline_report_.stage_bytes_shipped[name] > 0
+            assert summary["stage_bytes_shipped"][name] > 0
+            assert by_name[name].bytes_shipped > 0
+            assert by_name[name].as_dict()["bytes_shipped"] > 0
+
+    def test_serial_backend_ships_nothing(self, small_dataset):
+        model = KGraph(n_clusters=3, n_lengths=2, random_state=11).fit(
+            small_dataset.data
+        )
+        # Nothing crosses a process boundary: the context never accumulates
+        # transfer, and every stage record reports zero bytes.
+        assert model.result_.bytes_shipped == {}
+        shipped = model.pipeline_report_.stage_bytes_shipped
+        assert set(shipped) == set(ALL_STAGES)
+        assert all(value == 0 for value in shipped.values())
 
 
 # --------------------------------------------------------------------------- #
