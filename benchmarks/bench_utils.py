@@ -6,11 +6,15 @@ directory.  Benchmarks are run with::
     pytest benchmarks/ --benchmark-only
 
 Each experiment prints the rows/series the corresponding paper frame shows
-and also writes them to ``benchmarks/results/<experiment>.txt`` so the output
-survives pytest's capture.  Set the environment variable ``REPRO_BENCH_FULL=1``
-to run the full-size dataset catalogue instead of the reduced one (the
-reduced catalogue keeps the default run within a few minutes while preserving
-every dataset family and therefore the shape of the results).
+and also writes them to ``<results>/<experiment>.txt`` so the output
+survives pytest's capture.  ``<results>`` is a per-session temporary
+directory; ``pytest benchmarks/ --save`` writes into the committed
+``benchmarks/results/`` instead (see ``benchmarks/conftest.py``).
+
+Set the environment variable ``REPRO_BENCH_FULL=1`` to run the full-size
+dataset catalogue instead of the reduced one (the reduced catalogue keeps the
+default run within a few minutes while preserving every dataset family and
+therefore the shape of the results).
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from typing import Dict
 from repro.datasets.catalogue import DatasetCatalogue, DatasetSpec, default_catalogue
 from repro.datasets import synthetic
 
+#: Where this session's benches write: the committed results here, but
+#: ``benchmarks/conftest.py`` points it at a per-session temporary directory
+#: unless pytest runs with ``--save``.
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -67,13 +74,18 @@ def bench_catalogue() -> DatasetCatalogue:
     return reduced
 
 
+def results_path(filename: str) -> Path:
+    """Path of ``filename`` in this session's results directory (created)."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    return RESULTS_DIR / filename
+
+
 def report(experiment: str, text: str) -> None:
-    """Print an experiment report and persist it under benchmarks/results/."""
+    """Print an experiment report and persist it in the results directory."""
     banner = f"\n{'=' * 78}\n{experiment}\n{'=' * 78}\n"
     print(banner + text)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     stem = experiment.split(":")[0].strip().lower().replace(" ", "_").replace("/", "_")
-    (RESULTS_DIR / f"{stem}.txt").write_text(banner + text + "\n", encoding="utf-8")
+    results_path(f"{stem}.txt").write_text(banner + text + "\n", encoding="utf-8")
 
 
 def format_table(rows, columns) -> str:

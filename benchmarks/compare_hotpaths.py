@@ -6,9 +6,11 @@ Usage::
     python benchmarks/compare_hotpaths.py BASELINE.json CURRENT.json \
         [--max-slowdown 2.0]
 
-Both files are ``benchmarks/results/hotpaths.json`` payloads written by
-``benchmarks/test_bench_hotpaths.py`` (E13).  Comparing raw seconds across
-machines is meaningless — a laptop baseline would fail every CI runner — so
+Both files are ``hotpaths.json`` payloads written by
+``benchmarks/test_bench_hotpaths.py`` (E13): the baseline is the committed
+``benchmarks/results/hotpaths.json``, the current one the file a run wrote
+into its results directory (``<basetemp>/results/`` without ``--save``).
+Comparing raw seconds across machines is meaningless — a laptop baseline would fail every CI runner — so
 the regression signal is the *speedup* of each vectorized hot path over its
 retained reference implementation, which both runs measure on their own
 hardware.  A hot path fails the smoke check when its current speedup drops

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import RESULTS_DIR, bench_catalogue, format_table, full_mode, report
+from bench_utils import bench_catalogue, format_table, full_mode, report, results_path
 from repro.baselines.registry import all_baseline_names
 from repro.benchmark.aggregate import (
     boxplot_summary,
@@ -37,8 +37,7 @@ def _run_campaign():
 @pytest.mark.benchmark(group="E2-benchmark-frame")
 def test_bench_benchmark_frame(benchmark):
     results = benchmark.pedantic(_run_campaign, rounds=1, iterations=1)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    save_results(results, RESULTS_DIR / "benchmark_frame_results.json")
+    save_results(results, results_path("benchmark_frame_results.json"))
 
     sections = []
     # Box plot per measure (the frame's main plot, one measure at a time).

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from bench_utils import RESULTS_DIR, bench_catalogue, format_table, report
+from bench_utils import bench_catalogue, format_table, report, results_path
 from repro.benchmark.runner import BenchmarkRunner
 from repro.viz.dashboard import build_dashboard
 from repro.viz.session import GraphintSession
@@ -41,7 +41,7 @@ def _run_dashboard_build():
     timings["small benchmark campaign (Benchmark frame)"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    output_path = RESULTS_DIR / "graphint_dashboard.html"
+    output_path = results_path("graphint_dashboard.html")
     page = build_dashboard(session, benchmark_results=results, output_path=output_path)
     timings["render all five frames to HTML"] = time.perf_counter() - start
     return page, timings
@@ -63,7 +63,7 @@ def test_bench_dashboard_generation(benchmark):
         format_table(rows, ["step", "seconds"])
         + f"\n\ndashboard size: {len(page) / 1024:.0f} KiB, embedded SVG plots: {page.count('<svg')}"
         + f"\nframes present: {', '.join(present)}"
-        + f"\nwritten to {RESULTS_DIR / 'graphint_dashboard.html'}"
+        + f"\nwritten to {results_path('graphint_dashboard.html')}"
     )
     report("E10: Dashboard generation (Fig. 2 system overview)", summary)
     benchmark.extra_info["dashboard_kib"] = round(len(page) / 1024)

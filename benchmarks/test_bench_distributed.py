@@ -14,7 +14,8 @@ ports (the same subprocess + HTTP path a multi-host deployment uses), then:
   asserted: on one machine two loopback workers mostly measure HTTP
   overhead, the sharding win appears with real hosts).
 
-Results are persisted to ``benchmarks/results/distributed.json``.
+Results are persisted to ``distributed.json`` in the results directory
+(``benchmarks/results/`` under ``pytest --save``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bench_utils import RESULTS_DIR, format_table, full_mode, report
+from bench_utils import format_table, full_mode, report, results_path
 from repro.benchmark.runner import BenchmarkRunner
 from repro.core.kgraph import KGraph
 from repro.datasets.synthetic import make_cylinder_bell_funnel
@@ -243,7 +244,6 @@ def test_report_and_persist(worker_pool):
             f"sharded {grid['sharded_seconds']} s (bit-identical)"
         )
     report("E14: distributed execution", text)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "distributed.json").write_text(
+    results_path("distributed.json").write_text(
         json.dumps(RESULTS, indent=2) + "\n", encoding="utf-8"
     )

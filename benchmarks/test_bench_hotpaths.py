@@ -15,11 +15,12 @@ Each vectorized path retains its original implementation as a
 * asserts the acceptance floors — >= 5x on embedding graph construction
   and >= 10x on DTW / pairwise distances,
 
-and persists everything to ``benchmarks/results/hotpaths.json``.  That file
-is the committed baseline the CI perf-smoke job compares fresh runs
-against (see ``benchmarks/compare_hotpaths.py``): speedups are
-machine-normalized (reference and vectorized run on the same box), so the
-comparison is robust across runner generations.
+and persists everything to ``hotpaths.json`` in the results directory.
+``pytest benchmarks/test_bench_hotpaths.py --save`` rewrites the committed
+``benchmarks/results/hotpaths.json``, the baseline the CI perf-smoke job
+compares fresh runs against (see ``benchmarks/compare_hotpaths.py``):
+speedups are machine-normalized (reference and vectorized run on the same
+box), so the comparison is robust across runner generations.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Dict, List
 import numpy as np
 import pytest
 
-from bench_utils import RESULTS_DIR, format_table, full_mode, report
+from bench_utils import format_table, full_mode, report, results_path
 from repro.core.consensus import (
     build_consensus_matrix,
     build_consensus_matrix_reference,
@@ -328,8 +329,7 @@ def _run_hotpaths_experiment() -> Dict[str, object]:
 def test_bench_hotpaths(benchmark):
     payload = benchmark.pedantic(_run_hotpaths_experiment, rounds=1, iterations=1)
 
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "hotpaths.json").write_text(
+    results_path("hotpaths.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 

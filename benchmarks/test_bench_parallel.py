@@ -9,8 +9,9 @@ machine's CPU count (the speedup is only expected to materialise on
 multi-core hardware; on a single-core machine the parallel backends simply
 must not regress results).
 
-Results are persisted as JSON under ``benchmarks/results/`` so speedups can
-be compared across machines.
+Results are persisted as JSON in the results directory (the committed
+``benchmarks/results/`` under ``pytest --save``) so speedups can be compared
+across machines.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from bench_utils import RESULTS_DIR, format_table, full_mode, report
+from bench_utils import format_table, full_mode, report, results_path
 from repro.benchmark.runner import BenchmarkRunner
 from repro.core.kgraph import KGraph
 from repro.datasets.catalogue import DatasetCatalogue, DatasetSpec
@@ -136,8 +137,7 @@ def test_bench_parallel_backends(benchmark):
         "campaign": {"methods": CAMPAIGN_METHODS, "n_runs": 2, "n_datasets": 2},
         "rows": rows,
     }
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "parallel_backends.json").write_text(
+    results_path("parallel_backends.json").write_text(
         json.dumps(payload, indent=2), encoding="utf-8"
     )
 

@@ -14,7 +14,8 @@ predict requests, under three serving modes:
   (``max_batch_size=32``), coalescing whatever requests are pending.
 
 Throughput (requests/s) and client-side latency (p50/p95) are recorded to
-``benchmarks/results/serve_latency.json``.  Predictions are asserted to be
+``serve_latency.json`` in the results directory (``benchmarks/results/``
+under ``pytest --save``).  Predictions are asserted to be
 identical across all modes — micro-batching must never change results —
 and the batched mode must beat unbatched per-request dispatch on
 throughput (the whole point of the engine).
@@ -30,7 +31,7 @@ import time
 import numpy as np
 import pytest
 
-from bench_utils import RESULTS_DIR, format_table, full_mode, report
+from bench_utils import format_table, full_mode, report, results_path
 from repro.core.kgraph import KGraph
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.serve.artifacts import load_model, save_model
@@ -173,8 +174,7 @@ def test_bench_serve_latency(benchmark, tmp_path):
             "engine_stats": engine_stats,
         }
     )
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "serve_latency.json").write_text(
+    results_path("serve_latency.json").write_text(
         json.dumps(payload, indent=2), encoding="utf-8"
     )
 

@@ -201,6 +201,8 @@ class EmbedStage(Stage):
     # Derived from the fields KGraphConfig tags with this stage, so the
     # cache-key inputs and the typed config can never drift apart.
     config_keys = KGraphConfig.stage_config_keys("embed")
+    # v2: Gram-matrix PCA with the largest-|loading|-positive sign rule.
+    version = 2
 
     def run(self, ctx: PipelineContext) -> Mapping[str, object]:
         array = ctx.require("array")

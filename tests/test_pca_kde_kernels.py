@@ -6,7 +6,9 @@ import pytest
 from repro.exceptions import NotFittedError, ValidationError
 from repro.linalg.kde import KernelDensityEstimator, local_maxima_1d, scott_bandwidth, silverman_bandwidth
 from repro.linalg.kernels import gaussian_kernel_matrix, knn_affinity, rbf_affinity
-from repro.linalg.pca import PCA
+from repro.linalg.pca import PCA, pca_reference
+from repro.utils.normalization import znormalize_dataset
+from repro.utils.windows import subsequences_of_dataset
 
 
 class TestPCA:
@@ -57,6 +59,78 @@ class TestPCA:
         pca = PCA(2).fit(rng.normal(size=(10, 4)))
         with pytest.raises(ValidationError):
             pca.transform(rng.normal(size=(3, 5)))
+
+
+class TestPCARoutes:
+    """Gram-matrix ``eigh`` route, its SVD fallback and the sign rule."""
+
+    @staticmethod
+    def _count_svd(monkeypatch) -> list:
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    @staticmethod
+    def _tall(rng) -> np.ndarray:
+        return rng.normal(size=(400, 10)) @ rng.normal(size=(10, 10))
+
+    @pytest.mark.parametrize("shape", [(400, 10), (6, 9)])
+    def test_largest_loading_is_positive(self, rng, shape):
+        components = PCA(n_components=4).fit(rng.normal(size=shape)).components_
+        pivots = np.argmax(np.abs(components), axis=1)
+        assert np.all(components[np.arange(4), pivots] > 0)
+
+    def test_negated_input_gives_same_components(self, rng):
+        data = self._tall(rng)
+        assert np.array_equal(PCA(3).fit(data).components_, PCA(3).fit(-data).components_)
+        wide = rng.normal(size=(6, 9))
+        assert np.allclose(
+            PCA(3).fit(wide).components_, PCA(3).fit(-wide).components_, atol=1e-12
+        )
+
+    def test_matches_reference_on_tall_data(self, rng, monkeypatch):
+        data = self._tall(rng)
+        calls = self._count_svd(monkeypatch)
+        pca = PCA(n_components=4).fit(data)
+        assert calls == []
+        components, eigenvalues, total = pca_reference(data - data.mean(axis=0), 4)
+        assert np.allclose(pca.components_, components, rtol=0, atol=1e-10)
+        assert np.allclose(pca.explained_variance_, eigenvalues / 399, rtol=1e-10, atol=0)
+        assert np.allclose(pca.explained_variance_ratio_, eigenvalues / total, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # Isotropic: every eigenvalue of the Gram matrix equals 2.
+            np.vstack([np.eye(4), -np.eye(4)]),
+            # Wide: fewer samples than features.
+            np.random.default_rng(3).normal(size=(5, 9)),
+            # All zero: the largest eigenvalue is 0.
+            np.zeros((10, 4)),
+        ],
+        ids=["isotropic", "wide", "all_zero"],
+    )
+    def test_ill_posed_gram_falls_back_to_svd(self, data, monkeypatch):
+        calls = self._count_svd(monkeypatch)
+        pca = PCA(n_components=2).fit(data)
+        assert calls == [data.shape]
+        components, eigenvalues, _ = pca_reference(data - data.mean(axis=0), 2)
+        assert np.array_equal(pca.components_, components)
+        assert np.array_equal(pca.explained_variance_, eigenvalues / (data.shape[0] - 1))
+
+    def test_cbf_window_matrix_takes_gram_route(self, small_dataset, monkeypatch):
+        windows, _, _ = subsequences_of_dataset(small_dataset.data, 16, 1)
+        windows = znormalize_dataset(windows)
+        calls = self._count_svd(monkeypatch)
+        projected = PCA(n_components=2).fit_transform(windows)
+        assert calls == []
+        assert projected.shape == (windows.shape[0], 2)
 
 
 class TestKDE:

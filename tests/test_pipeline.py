@@ -31,6 +31,7 @@ from repro.pipeline import (
     fingerprint,
     resolve_stage_cache,
 )
+from repro.pipeline.kgraph_stages import EmbedStage
 
 ALL_STAGES = list(KGRAPH_STAGE_NAMES)
 
@@ -464,6 +465,22 @@ class TestKGraphResume:
         ).fit(small_dataset.data)
         assert second.pipeline_report_.cached == ALL_STAGES
         _assert_fits_identical(second, first)
+
+    def test_embed_checkpoint_from_version_1_misses(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        # Embed v2 switched PCA to the Gram route and a fixed sign rule, so a
+        # checkpoint written by a v1 embed stage must not replay.
+        cache_dir = tmp_path / "stages"
+        params = dict(n_clusters=3, n_lengths=2, random_state=0, stage_cache=cache_dir)
+        monkeypatch.setattr(EmbedStage, "version", 1)
+        old = KGraph(**params).fit(small_dataset.data)
+        assert "embed" in old.pipeline_report_.executed
+        monkeypatch.undo()
+        assert EmbedStage.version == 2
+        refit = KGraph(**params).fit(small_dataset.data)
+        assert "embed" in refit.pipeline_report_.executed
+        assert "embed" in KGraph(**params).fit(small_dataset.data).pipeline_report_.cached
 
     def test_process_fit_cache_replays_into_serial_fit(self, small_dataset):
         cache = MemoryStageCache()

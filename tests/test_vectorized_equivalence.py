@@ -5,6 +5,10 @@ Every hot path vectorized for E13 retains its original implementation as a
 outputs (``np.array_equal``, payload equality — not approx) on random and
 adversarial inputs: distance ties, single-node graphs, stride > 1 and
 constant series.
+
+The one exception is PCA: its Gram-matrix route agrees with the SVD oracle
+``pca_reference`` to rounding, so the catalogue test below asserts identical
+graph structure with ``allclose`` node positions and patterns.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from repro.core.kgraph import (
     predict_with_state,
     predict_with_state_reference,
 )
-from repro.datasets import generate_dataset
+from repro.datasets import default_catalogue, generate_dataset
 from repro.graph.embedding import GraphEmbedding
 from repro.graph.structure import TimeSeriesGraph
+from repro.linalg import pca
 from repro.linalg.kernels import knn_affinity, knn_affinity_reference
 from repro.metrics.distances import (
     dtw_distance,
@@ -32,6 +37,7 @@ from repro.metrics.distances import (
     pairwise_distances,
     pairwise_distances_reference,
 )
+from repro.utils.windows import length_grid
 
 METRICS = ("euclidean", "zeuclidean", "sbd", "dtw")
 
@@ -245,6 +251,36 @@ class TestEmbeddingEquivalence:
         vectorized = GraphEmbedding(8, random_state=0).fit(data)
         reference = GraphEmbedding(8, random_state=0, vectorized=False).fit(data)
         _assert_graphs_identical(vectorized, reference)
+
+
+def _without_positions(graph: TimeSeriesGraph):
+    """A graph's payload without node positions, and the positions apart."""
+    payload = graph.to_payload()
+    positions = np.array([node.pop("position") for node in payload["nodes"]])
+    return payload, positions
+
+
+class TestPCARouteOnCatalogue:
+    """The Gram-matrix PCA route builds the graphs the SVD oracle builds."""
+
+    @pytest.mark.parametrize("name", default_catalogue().names())
+    def test_gram_route_matches_reference(self, name, monkeypatch):
+        dataset = generate_dataset(name, random_state=0)
+        for length in length_grid(dataset.length, 2):
+            gram = GraphEmbedding(length, random_state=0).fit(dataset.data)
+            with monkeypatch.context() as patch:
+                # No Gram axes: PCA.fit falls back to pca_reference.
+                patch.setattr(pca, "_gram_axes", lambda centered, n_components: None)
+                reference = GraphEmbedding(length, random_state=0).fit(dataset.data)
+            gram_payload, gram_positions = _without_positions(gram)
+            reference_payload, reference_positions = _without_positions(reference)
+            assert gram.n_nodes == reference.n_nodes
+            assert gram_payload == reference_payload  # visits and transitions
+            assert np.allclose(gram_positions, reference_positions, rtol=0, atol=1e-9)
+            for node in gram.nodes():
+                assert np.allclose(
+                    gram.node_pattern(node), reference.node_pattern(node), rtol=0, atol=1e-9
+                )
 
 
 class TestBulkRecordingEquivalence:
