@@ -1,15 +1,19 @@
 """E13 — Hot-path vectorization: vectorized vs retained reference implementations.
 
-PR 3 replaced every per-subsequence / per-pair Python loop on the k-Graph
-hot paths with vectorized NumPy: bulk graph construction
-(``TimeSeriesGraph.add_visits`` / ``add_transitions`` fed by
-``GraphEmbedding``), an anti-diagonal banded DTW, blockwise/batched
-``pairwise_distances``, ``np.argpartition``-based ``knn_affinity``, a
-one-hot-GEMM consensus matrix and a whole-batch ``predict_with_state``.
-Each vectorized path retains its original implementation as a
-``*_reference`` twin; this experiment
+Every per-subsequence / per-pair Python loop on the k-Graph hot paths is
+vectorized NumPy: array-native graph construction
+(``TimeSeriesGraph.from_assignments``, fed by ``GraphEmbedding``), an
+anti-diagonal banded DTW, blockwise/batched ``pairwise_distances``,
+``np.argpartition``-based ``knn_affinity``, a one-hot-GEMM consensus matrix
+and a whole-batch ``predict_with_state``.  Each vectorized path retains its
+original implementation as a ``*_reference`` twin (graph construction:
+``assemble_reference``); this experiment
 
-* times each (reference, vectorized) pair on the benchmark config,
+* times each (reference, vectorized) pair on the benchmark config: the two
+  sides run in interleaved pairs, each side repeating its call until it
+  has run for at least ``MIN_SECONDS``, and the reported speedup is the
+  median of the per-pair ratios, so a burst of host noise moves one pair,
+  not the result,
 * asserts the outputs are **bit-identical** (``np.array_equal`` / payload
   equality, never approx),
 * asserts the acceptance floors — >= 5x on embedding graph construction
@@ -20,7 +24,10 @@ and persists everything to ``hotpaths.json`` in the results directory.
 ``benchmarks/results/hotpaths.json``, the baseline the CI perf-smoke job
 compares fresh runs against (see ``benchmarks/compare_hotpaths.py``):
 speedups are machine-normalized (reference and vectorized run on the same
-box), so the comparison is robust across runner generations.
+box), so the comparison is robust across runner generations.  That job
+pins BLAS to one thread (``OPENBLAS_NUM_THREADS=1``): on a 2-vCPU runner a
+two-thread BLAS call waiting on a busy core slows the GEMM-based rows
+several-fold with no code change.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from repro.core.kgraph import (
 )
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.graph.embedding import GraphEmbedding
-from repro.graph.structure import TimeSeriesGraph
+from repro.graph.structure import TimeSeriesGraph, assemble_reference
 from repro.linalg.kernels import knn_affinity, knn_affinity_reference
 from repro.metrics.distances import (
     dtw_distance,
@@ -53,7 +60,6 @@ from repro.metrics.distances import (
     pairwise_distances_reference,
 )
 from repro.pipeline import MemoryStageCache
-from repro.utils.normalization import znormalize_dataset
 from repro.utils.windows import subsequences_of_dataset
 
 SCHEMA_VERSION = 1
@@ -91,13 +97,20 @@ SPEEDUP_FLOORS = {
 }
 
 
-def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
+#: Timed (reference, vectorized) pairs per hot path, and the minimum total
+#: time each side runs per pair (calls repeat until it is reached).
+PAIRS = 5
+MIN_SECONDS = 0.05
+
+
+def _seconds_per_call(fn: Callable[[], object]) -> float:
+    calls, start = 0, time.perf_counter()
+    while True:
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        calls += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_SECONDS:
+            return elapsed / calls
 
 
 def _entry(
@@ -105,18 +118,15 @@ def _entry(
     reference: Callable[[], object],
     vectorized: Callable[[], object],
     equal: Callable[[object, object], bool],
-    *,
-    ref_repeats: int = 2,
-    vec_repeats: int = 5,
 ) -> Dict[str, object]:
     assert equal(reference(), vectorized()), f"{hot_path}: outputs differ"
-    reference_seconds = _best_seconds(reference, ref_repeats)
-    vectorized_seconds = _best_seconds(vectorized, vec_repeats)
+    pairs = [(_seconds_per_call(reference), _seconds_per_call(vectorized)) for _ in range(PAIRS)]
+    reference_seconds, vectorized_seconds = np.median(pairs, axis=0).tolist()
     return {
         "hot_path": hot_path,
         "reference_seconds": reference_seconds,
         "vectorized_seconds": vectorized_seconds,
-        "speedup": reference_seconds / max(vectorized_seconds, 1e-12),
+        "speedup": float(np.median([ref / max(vec, 1e-12) for ref, vec in pairs])),
     }
 
 
@@ -126,46 +136,32 @@ def _entry(
 def _embedding_entry() -> Dict[str, object]:
     """Time graph construction (assembly) on precomputed assignments.
 
-    The PCA projection and radial scan are identical in both paths; the
-    construction stage — pattern means, visit and transition recording —
-    is what the vectorization targets, so it is what gets timed.
+    The PCA projection, radial scan and node patterns are shared by both
+    sides; the construction of the counts — visits, transitions and
+    trajectories — is what the array-native graph targets, so it is what
+    gets timed: the dict-loop ``assemble_reference`` against
+    ``TimeSeriesGraph.from_assignments``.
     """
     dataset = make_cylinder_bell_funnel(
         n_series=EMBED_N_SERIES, length=EMBED_SERIES_LENGTH, noise=0.2, random_state=0
     )
     data = dataset.data
-    embedding = GraphEmbedding(EMBED_LENGTH, random_state=0)
-    embedding.fit(data)  # untimed: fills projection_ / node_positions_
-
-    subsequences, series_index, _ = subsequences_of_dataset(data, EMBED_LENGTH, 1)
-    subsequences = znormalize_dataset(subsequences)
-    projection = embedding.projection_
-    node_positions = embedding.node_positions_
-    distances = (
-        np.sum(projection**2, axis=1)[:, None]
-        - 2.0 * projection @ node_positions.T
-        + np.sum(node_positions**2, axis=1)[None, :]
-    )
-    assignments = np.argmin(distances, axis=1)
-    used_nodes = np.unique(assignments)
-    assignments = np.searchsorted(used_nodes, assignments)
-    node_positions = node_positions[used_nodes]
-
-    def build(vectorized: bool) -> TimeSeriesGraph:
-        graph = TimeSeriesGraph(length=EMBED_LENGTH, n_series=data.shape[0])
-        assemble = (
-            embedding._assemble_vectorized if vectorized else embedding._assemble_reference
-        )
-        assemble(graph, subsequences, assignments, series_index, node_positions)
-        return graph
+    graph = GraphEmbedding(EMBED_LENGTH, random_state=0).fit(data)
+    _, series_index, _ = subsequences_of_dataset(data, EMBED_LENGTH, 1)
+    # The trajectories hold every subsequence's node, grouped by series in
+    # the order the embedding assigned them.
+    assignments = np.asarray(graph.trajectory_nodes)
+    positions, patterns = graph.positions, graph.patterns
 
     entry = _entry(
         "embedding_build",
-        lambda: build(False),
-        lambda: build(True),
-        lambda ref, vec: ref.to_payload() == vec.to_payload(),
+        lambda: assemble_reference(EMBED_LENGTH, data.shape[0], positions, assignments, series_index),
+        lambda: TimeSeriesGraph.from_assignments(
+            EMBED_LENGTH, data.shape[0], positions, patterns, assignments, series_index
+        ),
+        lambda ref, vec: ref == vec.to_payload(),
     )
-    entry["n_subsequences"] = int(subsequences.shape[0])
+    entry["n_subsequences"] = int(series_index.shape[0])
     return entry
 
 
@@ -191,7 +187,6 @@ def _dtw_pairwise_entry() -> Dict[str, object]:
         lambda: pairwise_distances_reference(data, metric="dtw"),
         lambda: pairwise_distances(data, metric="dtw"),
         np.array_equal,
-        ref_repeats=1,
     )
     entry["shape"] = list(DTW_PAIRWISE_SHAPE)
     return entry
@@ -288,9 +283,7 @@ def _pipeline_entry() -> Dict[str, object]:
     def warm() -> np.ndarray:
         return KGraph(**params, stage_cache=cache).fit(dataset.data).labels_
 
-    entry = _entry(
-        "pipeline_cached_refit", cold, warm, np.array_equal, ref_repeats=1
-    )
+    entry = _entry("pipeline_cached_refit", cold, warm, np.array_equal)
     entry["n_series"] = int(dataset.n_series)
     entry["series_length"] = int(dataset.length)
     entry["n_lengths"] = int(params["n_lengths"])

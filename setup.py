@@ -1,10 +1,26 @@
-"""Setuptools shim enabling legacy editable installs (pip install -e .).
+"""Package metadata and install script for the ``repro`` library.
 
-The pyproject.toml carries the real metadata; this file only exists so the
-offline environment (no wheel package available) can fall back to the
-``setup.py develop`` editable-install path.
+``pip install .`` installs the library and the ``graphint`` command.  Where
+the ``wheel`` package is unavailable (offline boxes), ``python setup.py
+develop`` makes the same editable install.  The version is read from
+``src/repro/__init__.py`` so it is defined in one place.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(encoding="utf-8"), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Graphint: graph-based time series clustering (k-Graph) and its visual explorer",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["graphint = repro.viz.cli:main"]},
+)

@@ -381,28 +381,6 @@ def predict_with_state_reference(
     return predictions
 
 
-@dataclass(frozen=True)
-class _GraphoidJob:
-    """Picklable payload for extracting one cluster's graphoids."""
-
-    graph: TimeSeriesGraph
-    labels: np.ndarray
-    cluster: int
-    lambda_threshold: float
-    gamma_threshold: float
-
-
-def _extract_cluster_graphoids(job: _GraphoidJob) -> Tuple[int, Graphoid, Graphoid]:
-    """Extract the λ- and γ-graphoid of one cluster (deterministic)."""
-    lam = extract_lambda_graphoid(
-        job.graph, job.labels, job.cluster, job.lambda_threshold
-    )
-    gam = extract_gamma_graphoid(
-        job.graph, job.labels, job.cluster, job.gamma_threshold
-    )
-    return job.cluster, lam, gam
-
-
 #: Sentinel distinguishing "kwarg not passed" from any real value, so the
 #: constructor shim can tell explicit overrides apart from defaults.
 _UNSET = object()
@@ -877,23 +855,15 @@ class KGraph:
             scores = interpretability_scores(graphs, partitions, labels, backend=backend)
             optimal_length = select_optimal_length(scores)
             optimal_graph = graphs[optimal_length]
-            clusters = [int(cluster) for cluster in np.unique(labels)]
-            graphoid_jobs = [
-                _GraphoidJob(
-                    graph=optimal_graph,
-                    labels=labels,
-                    cluster=cluster,
-                    lambda_threshold=self.lambda_threshold,
-                    gamma_threshold=self.gamma_threshold,
-                )
-                for cluster in clusters
-            ]
             lambda_graphoids: Dict[int, Graphoid] = {}
             gamma_graphoids: Dict[int, Graphoid] = {}
-            for outcome in backend.map_jobs(_extract_cluster_graphoids, graphoid_jobs):
-                cluster, lam, gam = outcome.unwrap()
-                lambda_graphoids[cluster] = lam
-                gamma_graphoids[cluster] = gam
+            for cluster in np.unique(labels).tolist():
+                lambda_graphoids[cluster] = extract_lambda_graphoid(
+                    optimal_graph, labels, cluster, self.lambda_threshold
+                )
+                gamma_graphoids[cluster] = extract_gamma_graphoid(
+                    optimal_graph, labels, cluster, self.gamma_threshold
+                )
 
         self.result_ = KGraphResult(
             labels=labels,

@@ -13,12 +13,14 @@ For one subsequence length ℓ the embedding:
    Series2Graph-inspired node-creation rule described in the paper);
 4. assigns every subsequence to its nearest node and connects consecutive
    subsequences of the same series with directed edges, yielding the
-   transition graph.
+   transition graph.  Node patterns, visit counts, edges and trajectories
+   come out of one ``np.unique`` / ``np.bincount`` pass over the assignments
+   (:meth:`TimeSeriesGraph.from_assignments`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -56,13 +58,6 @@ class GraphEmbedding:
         density range, for it to become a node (filters spurious maxima).
     random_state:
         Present for API symmetry; the embedding itself is deterministic.
-    vectorized:
-        When true (the default) the graph is assembled with bulk NumPy
-        accumulation (:meth:`TimeSeriesGraph.add_visits` /
-        :meth:`TimeSeriesGraph.add_transitions`); when false the original
-        per-subsequence recording loop runs instead.  Both paths build
-        bit-identical graphs — the reference loop is retained for the
-        equivalence tests and the hot-path benchmark (E13).
     """
 
     def __init__(
@@ -75,7 +70,6 @@ class GraphEmbedding:
         density_grid: int = 64,
         min_prominence_fraction: float = 0.05,
         random_state=None,
-        vectorized: bool = True,
     ) -> None:
         self.length = check_positive_int(length, "length", minimum=2)
         self.stride = check_positive_int(stride, "stride")
@@ -88,7 +82,6 @@ class GraphEmbedding:
             )
         self.min_prominence_fraction = float(min_prominence_fraction)
         self.random_state = check_random_state(random_state)
-        self.vectorized = bool(vectorized)
 
         self.pca_: Optional[PCA] = None
         self.projection_: Optional[np.ndarray] = None
@@ -179,37 +172,8 @@ class GraphEmbedding:
         assignments = np.argmin(distances, axis=1)
 
         # Drop nodes that attract no subsequence and re-index densely.
-        used_nodes = np.unique(assignments)
-        if self.vectorized:
-            # used_nodes is sorted, so searchsorted is an O(n log k) dense
-            # re-index with no Python-level dict round-trip.
-            assignments = np.searchsorted(used_nodes, assignments)
-        else:
-            remap: Dict[int, int] = {old: new for new, old in enumerate(used_nodes)}
-            assignments = np.array([remap[a] for a in assignments])
-        node_positions = node_positions[used_nodes]
-
-        graph = TimeSeriesGraph(length=self.length, n_series=array.shape[0])
-        if self.vectorized:
-            self._assemble_vectorized(
-                graph, subsequences, assignments, series_index, node_positions
-            )
-        else:
-            self._assemble_reference(
-                graph, subsequences, assignments, series_index, node_positions
-            )
-        return graph
-
-    def _assemble_vectorized(
-        self,
-        graph: TimeSeriesGraph,
-        subsequences: np.ndarray,
-        assignments: np.ndarray,
-        series_index: np.ndarray,
-        node_positions: np.ndarray,
-    ) -> None:
-        """Bulk NumPy graph assembly (bit-identical to the reference loop)."""
-        n_nodes = node_positions.shape[0]
+        used_nodes, assignments = np.unique(assignments, return_inverse=True)
+        n_nodes = used_nodes.size
         # Node patterns: grouped mean via one weighted bincount per column.
         # bincount accumulates its weights in subsequence order, matching
         # the sequential row-reduction of members.mean(axis=0) bit for bit.
@@ -220,47 +184,14 @@ class GraphEmbedding:
                 for column in range(subsequences.shape[1])
             ]
         )
-        patterns = sums / counts[:, None]
-        for new_id in range(n_nodes):
-            graph.add_node(new_id, node_positions[new_id], patterns[new_id])
-
-        graph.add_visits(assignments, series_index)
-        # Consecutive subsequences of the same series form transitions.
-        same_series = series_index[1:] == series_index[:-1]
-        graph.add_transitions(
-            assignments[:-1][same_series],
-            assignments[1:][same_series],
-            series_index[1:][same_series],
+        return TimeSeriesGraph.from_assignments(
+            self.length,
+            array.shape[0],
+            node_positions[used_nodes],
+            sums / counts[:, None],
+            assignments,
+            series_index,
         )
-
-    def _assemble_reference(
-        self,
-        graph: TimeSeriesGraph,
-        subsequences: np.ndarray,
-        assignments: np.ndarray,
-        series_index: np.ndarray,
-        node_positions: np.ndarray,
-    ) -> None:
-        """Original per-subsequence recording loop.
-
-        Retained as the reference implementation the vectorized assembly is
-        benchmarked and equivalence-tested against (E13).
-        """
-        for new_id in range(node_positions.shape[0]):
-            members = subsequences[assignments == new_id]
-            pattern = members.mean(axis=0) if members.shape[0] else np.zeros(self.length)
-            graph.add_node(new_id, node_positions[new_id], pattern)
-
-        previous_series = -1
-        previous_node = -1
-        for subseq_idx in range(subsequences.shape[0]):
-            series = int(series_index[subseq_idx])
-            node = int(assignments[subseq_idx])
-            graph.record_visit(node, series)
-            if series == previous_series:
-                graph.record_transition(previous_node, node, series)
-            previous_series = series
-            previous_node = node
 
 
 def build_graph(

@@ -19,7 +19,7 @@ edge at least once".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,76 +28,53 @@ from repro.graph.structure import Edge, TimeSeriesGraph
 from repro.utils.validation import check_labels, check_probability
 
 
-def _cluster_members(labels: np.ndarray) -> Dict[int, np.ndarray]:
-    return {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+def _scores(
+    graph: TimeSeriesGraph, labels, edges: bool, exclusive: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(clusters, scores)``: ``scores[i, j]`` scores node/edge ``i`` for ``clusters[j]``.
+
+    The crossings come from one ``bincount`` over the graph's visit or
+    traversal triples: each (item, series) pair is one triple, so it counts
+    distinct crossing series per item and cluster.
+    """
+    labels = check_labels(labels, n_samples=graph.n_series)
+    triples, n_items = (graph.traversals, graph.n_edges) if edges else (graph.visits, graph.n_nodes)
+    clusters, cluster_of = np.unique(labels, return_inverse=True)
+    crossings = np.bincount(
+        triples[:, 0] * clusters.size + cluster_of[triples[:, 1]],
+        minlength=n_items * clusters.size,
+    ).reshape(n_items, clusters.size)
+    if not exclusive:
+        return clusters, crossings / np.bincount(cluster_of)
+    totals = crossings.sum(axis=1, keepdims=True)
+    return clusters, np.divide(crossings, totals, out=np.zeros(crossings.shape), where=totals > 0)
+
+
+def _score_dicts(clusters: np.ndarray, scores: np.ndarray, keys: Sequence) -> Dict[int, Dict]:
+    return {
+        cluster: dict(zip(keys, column))
+        for cluster, column in zip(clusters.tolist(), scores.T.tolist())
+    }
 
 
 def node_representativity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[int, float]]:
     """``result[cluster][node]`` = representativity of the node for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[int, float]] = {cluster: {} for cluster in members}
-    for node in graph.nodes():
-        crossing = set(graph.series_through_node(node))
-        for cluster, cluster_indices in members.items():
-            if cluster_indices.size == 0:
-                result[cluster][node] = 0.0
-                continue
-            count = sum(1 for idx in cluster_indices if idx in crossing)
-            result[cluster][node] = count / cluster_indices.size
-    return result
+    return _score_dicts(*_scores(graph, labels, edges=False, exclusive=False), graph.nodes())
 
 
 def node_exclusivity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[int, float]]:
     """``result[cluster][node]`` = exclusivity of the node for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[int, float]] = {cluster: {} for cluster in members}
-    for node in graph.nodes():
-        crossing = graph.series_through_node(node)
-        total = len(crossing)
-        for cluster, cluster_indices in members.items():
-            if total == 0:
-                result[cluster][node] = 0.0
-                continue
-            member_set = set(cluster_indices.tolist())
-            count = sum(1 for idx in crossing if idx in member_set)
-            result[cluster][node] = count / total
-    return result
+    return _score_dicts(*_scores(graph, labels, edges=False, exclusive=True), graph.nodes())
 
 
 def edge_representativity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[Edge, float]]:
     """``result[cluster][edge]`` = representativity of the edge for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[Edge, float]] = {cluster: {} for cluster in members}
-    for edge in graph.edges():
-        crossing = set(graph.series_through_edge(edge))
-        for cluster, cluster_indices in members.items():
-            if cluster_indices.size == 0:
-                result[cluster][edge] = 0.0
-                continue
-            count = sum(1 for idx in cluster_indices if idx in crossing)
-            result[cluster][edge] = count / cluster_indices.size
-    return result
+    return _score_dicts(*_scores(graph, labels, edges=True, exclusive=False), graph.edges())
 
 
 def edge_exclusivity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[Edge, float]]:
     """``result[cluster][edge]`` = exclusivity of the edge for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[Edge, float]] = {cluster: {} for cluster in members}
-    for edge in graph.edges():
-        crossing = graph.series_through_edge(edge)
-        total = len(crossing)
-        for cluster, cluster_indices in members.items():
-            if total == 0:
-                result[cluster][edge] = 0.0
-                continue
-            member_set = set(cluster_indices.tolist())
-            count = sum(1 for idx in crossing if idx in member_set)
-            result[cluster][edge] = count / total
-    return result
+    return _score_dicts(*_scores(graph, labels, edges=True, exclusive=True), graph.edges())
 
 
 @dataclass
@@ -153,29 +130,36 @@ class Graphoid:
         }
 
 
-def extract_graphoid(graph: TimeSeriesGraph, labels, cluster: int) -> Graphoid:
-    """The plain Graphoid: every node/edge traversed by at least one member."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = set(np.flatnonzero(labels == cluster).tolist())
-    if not members:
-        raise ValidationError(f"cluster {cluster} has no members")
-    nodes = [
-        node for node in graph.nodes()
-        if members.intersection(graph.series_through_node(node))
-    ]
-    edges = [
-        edge for edge in graph.edges()
-        if members.intersection(graph.series_through_edge(edge))
-    ]
+def _select(
+    graph: TimeSeriesGraph, labels, cluster: int, threshold: float, exclusive: bool, kind: str
+) -> Graphoid:
+    """The nodes/edges whose score for ``cluster`` is positive and >= ``threshold``."""
+    selected = []
+    for edges, keys in ((False, graph.nodes()), (True, graph.edges())):
+        clusters, scores = _scores(graph, labels, edges=edges, exclusive=exclusive)
+        if cluster not in clusters:
+            raise ValidationError(f"cluster {cluster} not present in labels")
+        column = scores[:, int(np.searchsorted(clusters, cluster))]
+        keep = np.flatnonzero((column >= threshold) & (column > 0))
+        selected.append(dict(zip([keys[i] for i in keep], column[keep].tolist())))
+    nodes, edges = selected
     return Graphoid(
         cluster=int(cluster),
-        nodes=nodes,
-        edges=edges,
-        node_scores={node: 1.0 for node in nodes},
-        edge_scores={edge: 1.0 for edge in edges},
-        kind="graphoid",
-        threshold=0.0,
+        nodes=list(nodes),
+        edges=list(edges),
+        node_scores=nodes,
+        edge_scores=edges,
+        kind=kind,
+        threshold=threshold,
     )
+
+
+def extract_graphoid(graph: TimeSeriesGraph, labels, cluster: int) -> Graphoid:
+    """The plain Graphoid: every node/edge traversed by at least one member."""
+    graphoid = _select(graph, labels, cluster, 0.0, exclusive=False, kind="graphoid")
+    graphoid.node_scores = {node: 1.0 for node in graphoid.nodes}
+    graphoid.edge_scores = {edge: 1.0 for edge in graphoid.edges}
+    return graphoid
 
 
 def extract_lambda_graphoid(
@@ -183,29 +167,7 @@ def extract_lambda_graphoid(
 ) -> Graphoid:
     """λ-Graphoid: nodes/edges whose representativity for ``cluster`` >= λ."""
     lambda_threshold = check_probability(lambda_threshold, "lambda_threshold")
-    node_scores = node_representativity(graph, labels)
-    edge_scores = edge_representativity(graph, labels)
-    if cluster not in node_scores:
-        raise ValidationError(f"cluster {cluster} not present in labels")
-    nodes = {
-        node: score
-        for node, score in node_scores[cluster].items()
-        if score >= lambda_threshold and score > 0
-    }
-    edges = {
-        edge: score
-        for edge, score in edge_scores[cluster].items()
-        if score >= lambda_threshold and score > 0
-    }
-    return Graphoid(
-        cluster=int(cluster),
-        nodes=sorted(nodes),
-        edges=sorted(edges),
-        node_scores=nodes,
-        edge_scores=edges,
-        kind="lambda",
-        threshold=lambda_threshold,
-    )
+    return _select(graph, labels, cluster, lambda_threshold, exclusive=False, kind="lambda")
 
 
 def extract_gamma_graphoid(
@@ -213,29 +175,7 @@ def extract_gamma_graphoid(
 ) -> Graphoid:
     """γ-Graphoid: nodes/edges whose exclusivity for ``cluster`` >= γ."""
     gamma_threshold = check_probability(gamma_threshold, "gamma_threshold")
-    node_scores = node_exclusivity(graph, labels)
-    edge_scores = edge_exclusivity(graph, labels)
-    if cluster not in node_scores:
-        raise ValidationError(f"cluster {cluster} not present in labels")
-    nodes = {
-        node: score
-        for node, score in node_scores[cluster].items()
-        if score >= gamma_threshold and score > 0
-    }
-    edges = {
-        edge: score
-        for edge, score in edge_scores[cluster].items()
-        if score >= gamma_threshold and score > 0
-    }
-    return Graphoid(
-        cluster=int(cluster),
-        nodes=sorted(nodes),
-        edges=sorted(edges),
-        node_scores=nodes,
-        edge_scores=edges,
-        kind="gamma",
-        threshold=gamma_threshold,
-    )
+    return _select(graph, labels, cluster, gamma_threshold, exclusive=True, kind="gamma")
 
 
 def interpretability_factor(graph: TimeSeriesGraph, labels) -> float:
@@ -244,11 +184,7 @@ def interpretability_factor(graph: TimeSeriesGraph, labels) -> float:
     This is the paper's interpretability factor used (together with the
     consistency W_c) to pick the most interpretable subsequence length.
     """
-    exclusivity = node_exclusivity(graph, labels)
-    maxima = []
-    for cluster, scores in exclusivity.items():
-        if scores:
-            maxima.append(max(scores.values()))
-        else:
-            maxima.append(0.0)
-    return float(np.mean(maxima)) if maxima else 0.0
+    _, exclusivity = _scores(graph, labels, edges=False, exclusive=True)
+    if not exclusivity.size:
+        return 0.0
+    return float(np.mean(exclusivity.max(axis=0)))

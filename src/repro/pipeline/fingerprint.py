@@ -14,9 +14,9 @@ NumPy arrays hash their dtype, shape, and raw bytes; generators hash their
 bit-generator state; dataclasses, dicts, and sequences recurse.  An object
 can opt out of the generic recursion by defining
 ``__fingerprint_parts__()`` returning a compact, deterministic
-representation (``TimeSeriesGraph`` packs its node/edge/trajectory dicts
-into a handful of sorted arrays this way — one pass over contiguous bytes
-instead of a Python-level walk over thousands of dict entries).  Anything
+representation (``TimeSeriesGraph`` returns the count arrays it stores, in
+their canonical sorted order, so hashing a graph is one pass over
+contiguous bytes).  Anything
 else falls back to its pickle bytes — deterministic for the plain
 array/dict/list compositions this library passes between stages (none of
 them contain sets), and cheap enough that hashing is never the bottleneck

@@ -167,28 +167,6 @@ def _cluster_one_graph(job: _ClusterJob) -> _ClusterFit:
     )
 
 
-@dataclass(frozen=True)
-class _GraphoidJob:
-    """Picklable payload for extracting one cluster's graphoids."""
-
-    graph: TimeSeriesGraph
-    labels: np.ndarray
-    cluster: int
-    lambda_threshold: float
-    gamma_threshold: float
-
-
-def _extract_cluster_graphoids(job: _GraphoidJob) -> Tuple[int, Graphoid, Graphoid]:
-    """Extract the λ- and γ-graphoid of one cluster (deterministic)."""
-    lam = extract_lambda_graphoid(
-        job.graph, job.labels, job.cluster, job.lambda_threshold
-    )
-    gam = extract_gamma_graphoid(
-        job.graph, job.labels, job.cluster, job.gamma_threshold
-    )
-    return job.cluster, lam, gam
-
-
 # --------------------------------------------------------------------------- #
 # stages
 # --------------------------------------------------------------------------- #
@@ -202,7 +180,8 @@ class EmbedStage(Stage):
     # cache-key inputs and the typed config can never drift apart.
     config_keys = KGraphConfig.stage_config_keys("embed")
     # v2: Gram-matrix PCA with the largest-|loading|-positive sign rule.
-    version = 2
+    # v3: array-native TimeSeriesGraph (count arrays instead of dicts).
+    version = 3
 
     def run(self, ctx: PipelineContext) -> Mapping[str, object]:
         array = ctx.require("array")
@@ -309,23 +288,15 @@ class InterpretabilityStage(Stage):
         labels = ctx.require("labels")
         optimal_graph = graphs[ctx.require("optimal_length")]
         with ctx.watch.section("graphoid_extraction"):
-            clusters = [int(cluster) for cluster in np.unique(labels)]
-            jobs = [
-                _GraphoidJob(
-                    graph=optimal_graph,
-                    labels=labels,
-                    cluster=cluster,
-                    lambda_threshold=float(ctx.config["lambda_threshold"]),
-                    gamma_threshold=float(ctx.config["gamma_threshold"]),
-                )
-                for cluster in clusters
-            ]
             lambda_graphoids: Dict[int, Graphoid] = {}
             gamma_graphoids: Dict[int, Graphoid] = {}
-            for outcome in ctx.dispatch(self.name, _extract_cluster_graphoids, jobs):
-                cluster, lam, gam = outcome.unwrap()
-                lambda_graphoids[cluster] = lam
-                gamma_graphoids[cluster] = gam
+            for cluster in np.unique(labels).tolist():
+                lambda_graphoids[cluster] = extract_lambda_graphoid(
+                    optimal_graph, labels, cluster, float(ctx.config["lambda_threshold"])
+                )
+                gamma_graphoids[cluster] = extract_gamma_graphoid(
+                    optimal_graph, labels, cluster, float(ctx.config["gamma_threshold"])
+                )
         return {
             "lambda_graphoids": lambda_graphoids,
             "gamma_graphoids": gamma_graphoids,
@@ -364,4 +335,3 @@ from repro.distributed.registry import register_worker_function  # noqa: E402
 
 register_worker_function(_embed_one_length)
 register_worker_function(_cluster_one_graph)
-register_worker_function(_extract_cluster_graphoids)

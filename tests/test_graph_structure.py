@@ -13,24 +13,14 @@ def toy_graph() -> TimeSeriesGraph:
 
     Series 0 visits 0 -> 1 -> 0, series 1 visits 1 -> 2, series 2 visits 2 -> 2.
     """
-    graph = TimeSeriesGraph(length=4, n_series=3)
-    for node in range(3):
-        graph.add_node(node, (float(node), 0.0), np.full(4, float(node)))
-    # series 0
-    graph.record_visit(0, 0)
-    graph.record_visit(1, 0)
-    graph.record_transition(0, 1, 0)
-    graph.record_visit(0, 0)
-    graph.record_transition(1, 0, 0)
-    # series 1
-    graph.record_visit(1, 1)
-    graph.record_visit(2, 1)
-    graph.record_transition(1, 2, 1)
-    # series 2
-    graph.record_visit(2, 2)
-    graph.record_visit(2, 2)
-    graph.record_transition(2, 2, 2)
-    return graph
+    return TimeSeriesGraph.from_assignments(
+        length=4,
+        n_series=3,
+        positions=[(float(node), 0.0) for node in range(3)],
+        patterns=[np.full(4, float(node)) for node in range(3)],
+        node_ids=[0, 1, 0, 1, 2, 2, 2],
+        series_indices=[0, 0, 0, 1, 1, 2, 2],
+    )
 
 
 class TestConstruction:
@@ -42,18 +32,21 @@ class TestConstruction:
 
     def test_duplicate_node_rejected(self, toy_graph):
         with pytest.raises(GraphConstructionError):
-            toy_graph.add_node(0, (0.0, 0.0), np.zeros(4))
+            toy_graph.add_node([(0.0, 0.0)], np.zeros((1, 4)))
 
     def test_bad_position_rejected(self):
-        graph = TimeSeriesGraph(length=4, n_series=1)
         with pytest.raises(ValidationError):
-            graph.add_node(0, (0.0, 0.0, 0.0), np.zeros(4))
+            TimeSeriesGraph.from_assignments(4, 1, [(0.0, 0.0, 0.0)], np.zeros((1, 4)), [], [])
 
     def test_unknown_node_visit_rejected(self, toy_graph):
-        with pytest.raises(GraphConstructionError):
-            toy_graph.record_visit(9, 0)
-        with pytest.raises(GraphConstructionError):
-            toy_graph.record_transition(0, 9, 0)
+        with pytest.raises(GraphConstructionError, match="unknown node"):
+            TimeSeriesGraph.from_assignments(4, 1, [(0.0, 0.0)], np.zeros((1, 4)), [0, 9], [0, 0])
+        with pytest.raises(GraphConstructionError, match="unknown edge endpoint"):
+            toy_graph.add_transitions([0], [9], [0])
+
+    def test_unknown_series_rejected(self):
+        with pytest.raises(ValidationError, match="unknown series"):
+            TimeSeriesGraph.from_assignments(4, 2, [(0.0, 0.0)], np.zeros((1, 4)), [0], [2])
 
 
 class TestAccessors:

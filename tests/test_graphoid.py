@@ -21,20 +21,17 @@ from repro.graph.structure import TimeSeriesGraph
 def labelled_graph():
     """4 series in 2 clusters; node 0 exclusive to cluster 0, node 2 to cluster 1,
     node 1 shared by everyone."""
-    graph = TimeSeriesGraph(length=4, n_series=4)
-    for node in range(3):
-        graph.add_node(node, (float(node), 0.0), np.zeros(4))
+    # Cluster 0 members (series 0, 1) visit nodes 0 then 1; cluster 1
+    # members (series 2, 3) visit nodes 1 then 2.
+    graph = TimeSeriesGraph.from_assignments(
+        length=4,
+        n_series=4,
+        positions=[(float(node), 0.0) for node in range(3)],
+        patterns=np.zeros((3, 4)),
+        node_ids=[0, 1, 0, 1, 1, 2, 1, 2],
+        series_indices=[0, 0, 1, 1, 2, 2, 3, 3],
+    )
     labels = np.array([0, 0, 1, 1])
-    # Cluster 0 members visit nodes 0 then 1.
-    for series in (0, 1):
-        graph.record_visit(0, series)
-        graph.record_visit(1, series)
-        graph.record_transition(0, 1, series)
-    # Cluster 1 members visit nodes 1 then 2.
-    for series in (2, 3):
-        graph.record_visit(1, series)
-        graph.record_visit(2, series)
-        graph.record_transition(1, 2, series)
     return graph, labels
 
 

@@ -428,5 +428,6 @@ def test_custom_backend_instance_is_used(small_dataset):
         small_dataset.data
     )
     # per-length embedding + per-length clustering (separate pipeline
-    # stages) + interpretability scores + graphoid extraction
-    assert backend.calls == 4
+    # stages) + interpretability scores; graphoid extraction is a plain
+    # per-cluster loop with no fan-out
+    assert backend.calls == 3

@@ -469,18 +469,20 @@ class TestKGraphResume:
     def test_embed_checkpoint_from_version_1_misses(
         self, small_dataset, tmp_path, monkeypatch
     ):
-        # Embed v2 switched PCA to the Gram route and a fixed sign rule, so a
-        # checkpoint written by a v1 embed stage must not replay.
-        cache_dir = tmp_path / "stages"
-        params = dict(n_clusters=3, n_lengths=2, random_state=0, stage_cache=cache_dir)
-        monkeypatch.setattr(EmbedStage, "version", 1)
-        old = KGraph(**params).fit(small_dataset.data)
-        assert "embed" in old.pipeline_report_.executed
-        monkeypatch.undo()
-        assert EmbedStage.version == 2
-        refit = KGraph(**params).fit(small_dataset.data)
-        assert "embed" in refit.pipeline_report_.executed
-        assert "embed" in KGraph(**params).fit(small_dataset.data).pipeline_report_.cached
+        # Embed v2 switched PCA to the Gram route and a fixed sign rule, and
+        # v3 made the graph array-native, so a checkpoint written by a v1 or
+        # v2 embed stage (a dict-based graph pickle) must not replay.
+        assert EmbedStage.version == 3
+        for old_version in (1, 2):
+            cache_dir = tmp_path / f"stages_v{old_version}"
+            params = dict(n_clusters=3, n_lengths=2, random_state=0, stage_cache=cache_dir)
+            monkeypatch.setattr(EmbedStage, "version", old_version)
+            old = KGraph(**params).fit(small_dataset.data)
+            assert "embed" in old.pipeline_report_.executed
+            monkeypatch.undo()
+            refit = KGraph(**params).fit(small_dataset.data)
+            assert "embed" in refit.pipeline_report_.executed
+            assert "embed" in KGraph(**params).fit(small_dataset.data).pipeline_report_.cached
 
     def test_process_fit_cache_replays_into_serial_fit(self, small_dataset):
         cache = MemoryStageCache()

@@ -2,9 +2,12 @@
 
 These cover the mathematical properties the rest of the system relies on:
 metric symmetry and bounds, permutation invariance of partition measures,
-consensus-matrix structure, normalisation idempotence and graphoid
-monotonicity.
+consensus-matrix structure, normalisation idempotence, graphoid
+monotonicity, and the array-native graph agreeing with its dict-loop
+reference.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +15,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.consensus import build_consensus_matrix
-from repro.graph.graphoid import extract_gamma_graphoid, extract_lambda_graphoid
+from repro.graph.graphoid import (
+    edge_exclusivity,
+    edge_representativity,
+    extract_gamma_graphoid,
+    extract_lambda_graphoid,
+    node_exclusivity,
+    node_representativity,
+)
+from repro.graph.structure import TimeSeriesGraph, assemble_reference
 from repro.metrics.clustering import (
     adjusted_rand_index,
     normalized_mutual_information,
@@ -20,6 +31,7 @@ from repro.metrics.clustering import (
     rand_index,
 )
 from repro.metrics.distances import dtw_distance, euclidean_distance, sbd_distance
+from repro.pipeline.fingerprint import fingerprint
 from repro.utils.normalization import znormalize
 from repro.utils.windows import sliding_window_matrix
 
@@ -169,3 +181,88 @@ class TestGraphoidProperties:
         loose_lambda = extract_lambda_graphoid(graph, labels, cluster, low)
         strict_lambda = extract_lambda_graphoid(graph, labels, cluster, high)
         assert set(strict_lambda.nodes) <= set(loose_lambda.nodes)
+
+
+# ---------------------------------------------------------------------------
+# array-native graph vs the dict-loop reference
+# ---------------------------------------------------------------------------
+@st.composite
+def assignment_sequences(draw):
+    """(n_nodes, n_series, node_ids, series_indices) of a random assignment.
+
+    Covers single-node graphs, one-subsequence and empty series, and series
+    ids in arbitrary order as well as grouped (the embedding's order).
+    """
+    n_nodes = draw(st.integers(1, 5))
+    n_series = draw(st.integers(1, 6))
+    size = draw(st.integers(0, 40))
+    nodes = draw(st.lists(st.integers(0, n_nodes - 1), min_size=size, max_size=size))
+    series = draw(st.lists(st.integers(0, n_series - 1), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        series = sorted(series)
+    return n_nodes, n_series, nodes, series
+
+
+def _count_matrix_reference(counts_by_column, n_series, normalize):
+    matrix = np.zeros((n_series, len(counts_by_column)))
+    for column, counts in enumerate(counts_by_column):
+        for series, count in counts.items():
+            matrix[int(series), column] = count
+    if normalize:
+        sums = matrix.sum(axis=1, keepdims=True)
+        matrix = matrix / np.where(sums == 0, 1.0, sums)
+    return matrix
+
+
+def _scores_reference(crossing_by_item, labels, exclusive):
+    """The set-membership loops the one-bincount scores replaced."""
+    members = {int(c): set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)}
+    result = {cluster: {} for cluster in members}
+    for item, crossing in crossing_by_item.items():
+        for cluster, member_set in members.items():
+            count = len(member_set & crossing)
+            if exclusive:
+                result[cluster][item] = count / len(crossing) if crossing else 0.0
+            else:
+                result[cluster][item] = count / len(member_set)
+    return result
+
+
+class TestArrayGraphProperties:
+    @given(assignment_sequences(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_array_graph_matches_dict_reference(self, case, data):
+        n_nodes, n_series, nodes, series = case
+        positions = [(float(node), 0.5) for node in range(n_nodes)]
+        patterns = np.arange(n_nodes * 3, dtype=float).reshape(n_nodes, 3)
+        graph = TimeSeriesGraph.from_assignments(3, n_series, positions, patterns, nodes, series)
+        reference = assemble_reference(3, n_series, positions, nodes, series)
+        assert graph.to_payload() == reference
+
+        node_counts = [reference["node_series"][str(node)] for node in range(n_nodes)]
+        edge_counts = [counts for _, _, counts in reference["edge_series"]]
+        for normalize in (False, True):
+            assert np.array_equal(
+                graph.node_feature_matrix(normalize),
+                _count_matrix_reference(node_counts, n_series, normalize),
+            )
+            assert np.array_equal(
+                graph.edge_feature_matrix(normalize),
+                _count_matrix_reference(edge_counts, n_series, normalize),
+            )
+
+        labels = np.array(data.draw(labels_strategy(n_series)))
+        node_crossing = {node: {int(s) for s in counts} for node, counts in enumerate(node_counts)}
+        edge_crossing = {
+            (source, target): {int(s) for s in counts}
+            for source, target, counts in reference["edge_series"]
+        }
+        assert node_representativity(graph, labels) == _scores_reference(node_crossing, labels, False)
+        assert node_exclusivity(graph, labels) == _scores_reference(node_crossing, labels, True)
+        assert edge_representativity(graph, labels) == _scores_reference(edge_crossing, labels, False)
+        assert edge_exclusivity(graph, labels) == _scores_reference(edge_crossing, labels, True)
+
+        # A graph loaded from its JSON payload is the same content.
+        restored = TimeSeriesGraph.from_payload(json.loads(json.dumps(reference)), patterns)
+        assert restored.to_payload() == reference
+        assert fingerprint(restored) == fingerprint(graph)

@@ -1,13 +1,15 @@
 """Tests for the versioned model artifact format (repro.serve.artifacts)."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.kgraph import KGraph
 from repro.datasets.synthetic import make_cylinder_bell_funnel
-from repro.exceptions import ArtifactError, NotFittedError
+from repro.exceptions import ArtifactError, NotFittedError, ValidationError
 from repro.serve.artifacts import (
     ARTIFACT_FORMAT,
     ARTIFACT_SCHEMA_VERSION,
@@ -15,6 +17,26 @@ from repro.serve.artifacts import (
     read_manifest,
     save_model,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _move_last_edge_to_node_99(graph):
+    graph["edges"][-1][1] = 99
+    graph["edge_series"][-1][1] = 99
+
+
+#: Tamperings of a stored graph that must not load.
+GRAPH_TAMPERINGS = {
+    "node_id_out_of_range": lambda graph: graph["nodes"][-1].update(id=99),
+    "edge_endpoint_out_of_range": _move_last_edge_to_node_99,
+    "visit_series_out_of_range": lambda graph: graph["node_series"]["0"].update({"999": 1}),
+    "visit_node_out_of_range": lambda graph: graph["node_series"].update({"99": {"0": 1}}),
+    "trajectory_series_out_of_range": lambda graph: graph["trajectories"].update({"999": [0]}),
+    "trajectory_names_unknown_node": lambda graph: graph["trajectories"]["0"].__setitem__(0, 99),
+    "missing_field": lambda graph: graph.pop("edge_series"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +224,14 @@ class TestValidation:
         assert np.array_equal(
             load_model(artifact_dir).predict(fresh_series), fitted_kgraph.predict(fresh_series)
         )
+
+    @pytest.mark.parametrize("tamper", sorted(GRAPH_TAMPERINGS))
+    def test_tampered_fixture_graph_is_rejected(self, tmp_path, tamper):
+        target = tmp_path / "model"
+        shutil.copytree(FIXTURES / "artifact_v2", target)
+        graphs = json.loads((target / "graphs.json").read_text())
+        GRAPH_TAMPERINGS[tamper](graphs["graphs"][0])
+        (target / "graphs.json").write_text(json.dumps(graphs))
+        with pytest.raises(ArtifactError, match="corrupt graph") as info:
+            load_model(target)
+        assert isinstance(info.value.__cause__, ValidationError)

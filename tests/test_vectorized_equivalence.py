@@ -28,7 +28,7 @@ from repro.core.kgraph import (
 )
 from repro.datasets import default_catalogue, generate_dataset
 from repro.graph.embedding import GraphEmbedding
-from repro.graph.structure import TimeSeriesGraph
+from repro.graph.structure import TimeSeriesGraph, assemble_reference
 from repro.linalg import pca
 from repro.linalg.kernels import knn_affinity, knn_affinity_reference
 from repro.metrics.distances import (
@@ -37,7 +37,8 @@ from repro.metrics.distances import (
     pairwise_distances,
     pairwise_distances_reference,
 )
-from repro.utils.windows import length_grid
+from repro.utils.normalization import znormalize_dataset
+from repro.utils.windows import length_grid, subsequences_of_dataset
 
 METRICS = ("euclidean", "zeuclidean", "sbd", "dtw")
 
@@ -217,40 +218,50 @@ class TestConsensusEquivalence:
 # --------------------------------------------------------------------- #
 # graph embedding / bulk recording
 # --------------------------------------------------------------------- #
-def _assert_graphs_identical(left: TimeSeriesGraph, right: TimeSeriesGraph) -> None:
-    assert left.to_payload() == right.to_payload()
-    for node in left.nodes():
-        assert np.array_equal(left.node_pattern(node), right.node_pattern(node))
+def _assert_matches_reference(data, length: int, stride: int = 1) -> TimeSeriesGraph:
+    """The embedding's graph equals the dict-loop oracle's on the same assignments."""
+    embedding = GraphEmbedding(length, stride=stride, random_state=0)
+    graph = embedding.fit(data)
+    subsequences, series_index, _ = subsequences_of_dataset(data, length, stride)
+    subsequences = znormalize_dataset(subsequences)
+    projection, positions = embedding.projection_, embedding.node_positions_
+    distances = (
+        np.sum(projection**2, axis=1)[:, None]
+        - 2.0 * projection @ positions.T
+        + np.sum(positions**2, axis=1)[None, :]
+    )
+    nearest = np.argmin(distances, axis=1)
+    used = np.unique(nearest)
+    remap = {old: new for new, old in enumerate(used.tolist())}
+    assignments = np.array([remap[node] for node in nearest.tolist()])
+    reference = assemble_reference(
+        length, data.shape[0], positions[used], assignments, series_index
+    )
+    assert graph.to_payload() == reference
+    for node in graph.nodes():
+        members = subsequences[assignments == node]
+        assert np.array_equal(graph.node_pattern(node), members.mean(axis=0))
+    return graph
 
 
 class TestEmbeddingEquivalence:
     @pytest.mark.parametrize("stride", [1, 2, 5])
     def test_random_walks(self, stride):
-        data = _random_walks(10, 72, seed=8)
-        vectorized = GraphEmbedding(12, stride=stride, random_state=0).fit(data)
-        reference = GraphEmbedding(
-            12, stride=stride, random_state=0, vectorized=False
-        ).fit(data)
-        _assert_graphs_identical(vectorized, reference)
+        _assert_matches_reference(_random_walks(10, 72, seed=8), 12, stride)
 
     def test_constant_series_single_node_graph(self):
         # All-constant series z-normalise to zero subsequences: the radial
         # scan collapses to one node and every transition is a self-loop.
-        data = np.ones((6, 30))
-        vectorized = GraphEmbedding(6, random_state=0).fit(data)
-        reference = GraphEmbedding(6, random_state=0, vectorized=False).fit(data)
-        _assert_graphs_identical(vectorized, reference)
-        assert vectorized.n_nodes == 1
-        assert vectorized.edges() == [(0, 0)]
+        graph = _assert_matches_reference(np.ones((6, 30)), 6)
+        assert graph.n_nodes == 1
+        assert graph.edges() == [(0, 0)]
 
     def test_mixed_constant_and_random(self):
         rng = np.random.default_rng(9)
         data = np.vstack(
             [np.zeros(40), np.full(40, 2.5), rng.normal(size=(4, 40)).cumsum(axis=1)]
         )
-        vectorized = GraphEmbedding(8, random_state=0).fit(data)
-        reference = GraphEmbedding(8, random_state=0, vectorized=False).fit(data)
-        _assert_graphs_identical(vectorized, reference)
+        _assert_matches_reference(data, 8)
 
 
 def _without_positions(graph: TimeSeriesGraph):
@@ -284,34 +295,19 @@ class TestPCARouteOnCatalogue:
 
 
 class TestBulkRecordingEquivalence:
-    def _empty_graph(self, n_nodes: int, n_series: int) -> TimeSeriesGraph:
-        graph = TimeSeriesGraph(length=4, n_series=n_series)
-        for node in range(n_nodes):
-            graph.add_node(node, (float(node), 0.0), np.zeros(4))
-        return graph
-
     def test_bulk_matches_loop(self):
         rng = np.random.default_rng(10)
         nodes = rng.integers(0, 5, size=200)
         series = np.sort(rng.integers(0, 7, size=200))
-        bulk = self._empty_graph(5, 7)
-        bulk.add_visits(nodes, series)
-        same = series[1:] == series[:-1]
-        bulk.add_transitions(nodes[:-1][same], nodes[1:][same], series[1:][same])
-
-        loop = self._empty_graph(5, 7)
-        previous_series = previous_node = -1
-        for node, series_id in zip(nodes.tolist(), series.tolist()):
-            loop.record_visit(node, series_id)
-            if series_id == previous_series:
-                loop.record_transition(previous_node, node, series_id)
-            previous_series, previous_node = series_id, node
-        assert bulk.to_payload() == loop.to_payload()
+        positions = [(float(node), 0.0) for node in range(5)]
+        bulk = TimeSeriesGraph.from_assignments(4, 7, positions, np.zeros((5, 4)), nodes, series)
+        assert bulk.to_payload() == assemble_reference(4, 7, positions, nodes, series)
 
     def test_bulk_validation(self):
         from repro.exceptions import GraphConstructionError, ValidationError
 
-        graph = self._empty_graph(2, 2)
+        graph = TimeSeriesGraph(length=4, n_series=2)
+        graph.add_node([(0.0, 0.0), (1.0, 0.0)], np.zeros((2, 4)))
         with pytest.raises(GraphConstructionError):
             graph.add_visits([0, 9], [0, 1])
         with pytest.raises(GraphConstructionError):
@@ -320,7 +316,7 @@ class TestBulkRecordingEquivalence:
             graph.add_visits([0, 1], [0])
         with pytest.raises(ValidationError):
             graph.add_transitions([0], [1, 0], [0])
-        # Empty bulk calls are no-ops.
+        # Empty calls record nothing.
         graph.add_visits([], [])
         graph.add_transitions([], [], [])
         assert graph.node_weight(0) == 0
